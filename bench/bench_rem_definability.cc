@@ -22,7 +22,7 @@ namespace gqd {
 namespace {
 
 void RunKRem(benchmark::State& state, std::size_t n, std::size_t delta,
-             std::size_t k, std::size_t num_threads = 1) {
+             std::size_t k) {
   DataGraph g = RandomDataGraph({.num_nodes = n,
                                  .num_labels = 1,
                                  .num_data_values = delta,
@@ -31,7 +31,6 @@ void RunKRem(benchmark::State& state, std::size_t n, std::size_t delta,
   BinaryRelation s = RandomRelation(n, 20, 1234);
   KRemDefinabilityOptions options;
   options.max_tuples = 50'000;
-  options.num_threads = num_threads;
   std::size_t tuples = 0;
   int verdict = 0;
   for (auto _ : state) {
@@ -54,14 +53,6 @@ void BM_KRemDefinability_SweepN(benchmark::State& state) {
   RunKRem(state, static_cast<std::size_t>(state.range(0)), 2, 1);
 }
 BENCHMARK(BM_KRemDefinability_SweepN)->DenseRange(3, 7);
-
-// Frontier-parallel successor generation on the largest SweepN config.
-// Results are bit-identical across thread counts (deterministic merge);
-// only wall time moves.
-void BM_KRemDefinability_Threads(benchmark::State& state) {
-  RunKRem(state, 7, 2, 1, static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_KRemDefinability_Threads)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_KRemDefinability_SweepK(benchmark::State& state) {
   RunKRem(state, 4, 2, static_cast<std::size_t>(state.range(0)));
@@ -151,17 +142,14 @@ DataGraph BandedGraph(std::size_t n, std::size_t bands, std::size_t delta) {
   return g;
 }
 
-/// Plan-dispatch ablation: the same medium banded workload through the
-/// planned engine (per-transition kernels from the KernelDispatchTable —
-/// span-clipped scans plus single-target/CSR inner loops) and the
-/// word-parallel kernel engine it downgrades to. run_benches.sh pairs the
-/// *_Plan/*_NoPlan entries into a plan-dispatch speedup record.
-void RunKRemMediumSparse(benchmark::State& state, KRemEngine engine) {
+/// The planned engine (per-transition kernels from the
+/// KernelDispatchTable — span-clipped scans plus single-target/CSR inner
+/// loops) on a medium banded workload.
+void BM_KRemDefinability_MediumSparse_Plan(benchmark::State& state) {
   DataGraph g = BandedGraph(128, 16, 15);
   BinaryRelation s = RandomRelation(128, 15, 4321);
   KRemDefinabilityOptions options;
   options.max_tuples = 5'000;
-  options.engine = engine;
   std::size_t tuples = 0;
   int verdict = 0;
   for (auto _ : state) {
@@ -176,16 +164,7 @@ void RunKRemMediumSparse(benchmark::State& state, KRemEngine engine) {
                          benchmark::Counter::kIsIterationInvariantRate);
   state.counters["verdict"] = verdict;
 }
-
-void BM_KRemDefinability_MediumSparse_Plan(benchmark::State& state) {
-  RunKRemMediumSparse(state, KRemEngine::kPlanned);
-}
 BENCHMARK(BM_KRemDefinability_MediumSparse_Plan);
-
-void BM_KRemDefinability_MediumSparse_NoPlan(benchmark::State& state) {
-  RunKRemMediumSparse(state, KRemEngine::kKernel);
-}
-BENCHMARK(BM_KRemDefinability_MediumSparse_NoPlan);
 
 /// Lemma 23: unbounded-REM definability at k = δ — the EXPSPACE wall.
 void BM_RemDefinability_Unbounded(benchmark::State& state) {

@@ -130,7 +130,7 @@ KernelDispatchTable KernelDispatchTable::Build(const AssignmentGraph& ag) {
                       table.plans_.size() * sizeof(TransitionPlan);
   if (table.pool_bytes_ > kDispatchMemoryBudgetBytes) {
     // Too big to be worth holding next to the assignment graph's own
-    // kernel; the generic engines handle this size class fine.
+    // kernel; the k-REM checker runs the reference shape instead.
     table.source_masks_.clear();
     table.single_targets_.clear();
     table.csr_offsets_.clear();

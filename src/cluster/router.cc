@@ -130,6 +130,21 @@ std::string OkLine(const JsonValue* id, JsonValue inner) {
 
 }  // namespace
 
+std::string RoutedPayload(const std::string& line) {
+  auto parsed = JsonValue::Parse(line);
+  if (!parsed.ok() || !parsed.value().is_object()) {
+    return line;
+  }
+  JsonValue::Object body;
+  for (const auto& [key, value] : parsed.value().AsObject()) {
+    if (key == "served_by" || key == "failovers" || key == "trace_id") {
+      continue;
+    }
+    body.emplace_back(key, value);
+  }
+  return JsonValue(std::move(body)).Serialize();
+}
+
 Router::Router(const RouterOptions& options) : options_(options) {
   for (std::size_t i = 0; i < options_.worker_ports.size(); i++) {
     WorkerLinkOptions link;

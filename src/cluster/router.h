@@ -67,9 +67,9 @@
 
 #include "cluster/hash_ring.h"
 #include "cluster/worker_link.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
-#include "runtime/json.h"
 #include "runtime/line_handler.h"
 
 namespace gqd {
@@ -266,6 +266,13 @@ class Router : public LineHandler {
   mutable std::mutex command_mutex_;
   std::map<std::string, Histogram*> command_latency_;
 };
+
+/// The query payload of a routed response: `line` without the per-request
+/// routing metadata (served_by, failovers, trace_id), which legitimately
+/// differs between replicas and requests. Responses to the same query are
+/// bit-identical by payload whichever replica served them. Lines that are
+/// not JSON objects come back unchanged.
+std::string RoutedPayload(const std::string& line);
 
 }  // namespace gqd
 

@@ -88,9 +88,7 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   if (build_kernel && budget != nullptr && budget->max_bytes() != 0) {
     // The kernel is an optimization: degrade (skip it) rather than fail the
     // request when it would not fit the remaining byte budget.
-    std::size_t kernel_bytes =
-        num_rows * row_words * sizeof(std::uint64_t) +
-        masks * ag.num_labels_ * ag.num_states_ * sizeof(std::uint16_t);
+    std::size_t kernel_bytes = num_rows * row_words * sizeof(std::uint64_t);
     if (budget->bytes_used() + kernel_bytes > budget->max_bytes()) {
       build_kernel = false;
     } else {
@@ -100,7 +98,6 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   if (build_kernel) {
     ag.kernel_row_words_ = row_words;
     ag.kernel_words_.assign(num_rows * row_words, 0);
-    ag.kernel_patterns_.assign(masks * ag.num_labels_ * ag.num_states_, 0);
   }
   GQD_TRACE_SPAN_ATTR(span, "states", ag.num_states_);
   GQD_TRACE_SPAN_ATTR(span, "kernel", build_kernel ? 1 : 0);
@@ -140,9 +137,6 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
               s;
           ag.kernel_words_[row * row_words + (target >> 6)] |=
               std::uint64_t{1} << (target & 63);
-          ag.kernel_patterns_[(mask * ag.num_labels_ + label) *
-                                  ag.num_states_ +
-                              s] |= static_cast<std::uint16_t>(1u << pattern);
         }
       }
     }

@@ -89,23 +89,22 @@ class AssignmentGraph {
   // Build() additionally materializes, for every (store_mask, label,
   // pattern), a row-indexed bitset adjacency: row s is the set of successor
   // states of s whose equality pattern is `pattern`, packed as
-  // ⌈|Q|/64⌉ words. The definability BFS then derives a frontier's
-  // successors as word-parallel unions — `part |= row(s)` covers 64 target
-  // states per instruction — instead of pushing successors one at a time.
-  // Rows are stored flat (one contiguous word vector, fixed stride) so the
-  // whole kernel is two allocations, not |masks|·|Σ|·|patterns|·|Q| of them.
+  // ⌈|Q|/64⌉ words. The planned k-REM engine's dense-class transitions
+  // (analysis/plan/kernel_dispatch.h) derive a frontier's successors as
+  // word-parallel unions — `part |= row(s)` covers 64 target states per
+  // instruction — instead of pushing successors one at a time. Rows are
+  // stored flat (one contiguous word vector, fixed stride) so the whole
+  // kernel is one allocation, not |masks|·|Σ|·|patterns|·|Q| of them.
   //
   // The kernel is skipped (has_kernel() == false) when its footprint would
-  // exceed kKernelMemoryBudgetBytes; callers fall back to SuccessorsOf.
+  // exceed kKernelMemoryBudgetBytes; the dispatch table then never picks
+  // the dense class.
 
   /// Rows materialized at Build time and within the memory budget?
   bool has_kernel() const { return !kernel_words_.empty(); }
 
-  /// Words per kernel row (⌈num_states/64⌉).
-  std::size_t kernel_row_words() const { return kernel_row_words_; }
-
   /// Pointer to the packed successor row of `state` under (store_mask,
-  /// label) restricted to equality pattern `pattern`; kernel_row_words()
+  /// label) restricted to equality pattern `pattern`; ⌈num_states/64⌉
   /// words. Requires has_kernel().
   const std::uint64_t* KernelRow(std::uint32_t store_mask, LabelId label,
                                  std::uint32_t pattern, AgState state) const {
@@ -114,15 +113,6 @@ class AssignmentGraph {
                 num_states_ +
             state) *
                kernel_row_words_;
-  }
-
-  /// Bitmask over patterns with at least one successor of `state` under
-  /// (store_mask, label) — lets the BFS skip all-zero kernel rows without
-  /// touching them. Requires has_kernel().
-  std::uint16_t AchievedPatternsAt(std::uint32_t store_mask, LabelId label,
-                                  AgState state) const {
-    return kernel_patterns_[(store_mask * num_labels_ + label) * num_states_ +
-                            state];
   }
 
   /// Upper bound on the flat kernel's size; beyond it Build() leaves the
@@ -144,8 +134,6 @@ class AssignmentGraph {
   std::vector<std::vector<Successor>> adjacency_;
   /// Flat kernel rows, stride kernel_row_words_, indexed as in KernelRow.
   std::vector<std::uint64_t> kernel_words_;
-  /// Achieved-pattern masks, indexed as in AchievedPatternsAt.
-  std::vector<std::uint16_t> kernel_patterns_;
   std::size_t kernel_row_words_ = 0;
 };
 

@@ -1,10 +1,7 @@
 #include "definability/krem_definability.h"
 
 #include <algorithm>
-#include <cassert>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -12,7 +9,6 @@
 #include "analysis/plan/kernel_dispatch.h"
 #include "analysis/plan/plan_metrics.h"
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace gqd {
@@ -140,8 +136,8 @@ struct Candidate {
   std::size_t offset;
 };
 
-/// Reusable per-(store set, letter) workspace. One instance per worker
-/// slot; nothing inside the per-head loops allocates once these warm up.
+/// Reusable per-(store set, letter) workspace, one per search; nothing
+/// inside the per-head loops allocates once it warms up.
 struct BlockScratch {
   std::vector<std::uint64_t> parts;    ///< n × patterns × set_words
   std::vector<std::uint64_t> stack;    ///< DFS save buffers, one per depth
@@ -164,35 +160,22 @@ struct BlockScratch {
 };
 
 /// Successor generation for one (store set, letter) block of one head
-/// tuple. Pure function of the head tuple — interning state is never read —
-/// so blocks can fan out across workers and merge back deterministically.
+/// tuple. Pure function of the head tuple — interning state is never read.
 class SuccessorGenerator {
  public:
-  /// Downgrade chain: planned needs an enabled dispatch table, kernel needs
-  /// the assignment graph's packed rows; anything else runs the reference
-  /// shape. All three compute identical successor bits.
-  static KRemEngine Resolve(KRemEngine requested, const AssignmentGraph& ag,
-                            const KernelDispatchTable* table) {
-    if (requested == KRemEngine::kPlanned && table != nullptr &&
-        table->enabled()) {
-      return KRemEngine::kPlanned;
-    }
-    if (requested != KRemEngine::kReference && ag.has_kernel()) {
-      return KRemEngine::kKernel;
-    }
-    return KRemEngine::kReference;
-  }
-
+  /// Runs the planned engine when `table` is enabled, else the reference
+  /// shape. Both compute identical successor bits.
   SuccessorGenerator(const AssignmentGraph& ag, std::size_t n,
-                     KRemEngine engine, const KernelDispatchTable* table,
+                     const KernelDispatchTable& table,
                      const CancelToken* cancel)
       : ag_(ag),
-        table_(table),
+        table_(&table),
         n_(n),
         num_patterns_(ag.num_patterns()),
         set_words_((ag.num_states() + 63) / 64),
         tuple_words_(n * set_words_),
-        engine_(Resolve(engine, ag, table)),
+        engine_(table.enabled() ? KRemEngine::kPlanned
+                                : KRemEngine::kReference),
         cancel_(cancel) {}
 
   std::size_t set_words() const { return set_words_; }
@@ -216,18 +199,10 @@ class SuccessorGenerator {
     s->achieved.clear();
     s->expired = false;
     std::fill(s->parts.begin(), s->parts.end(), 0);
-    std::uint32_t achieved_mask;
-    switch (engine_) {
-      case KRemEngine::kPlanned:
-        achieved_mask = FillPartsPlanned(tuple, store_mask, label, s);
-        break;
-      case KRemEngine::kKernel:
-        achieved_mask = FillPartsKernel(tuple, store_mask, label, s);
-        break;
-      default:
-        achieved_mask = FillPartsReference(tuple, store_mask, label, s);
-        break;
-    }
+    std::uint32_t achieved_mask =
+        engine_ == KRemEngine::kPlanned
+            ? FillPartsPlanned(tuple, store_mask, label, s)
+            : FillPartsReference(tuple, store_mask, label, s);
     if (s->expired || achieved_mask == 0) {
       return;
     }
@@ -250,7 +225,7 @@ class SuccessorGenerator {
   /// Specialized per-transition kernels: one TransitionPlan per pattern
   /// picks the inner loop, and every loop scans only Q ∧ source-mask over
   /// the plan's source word span. Produces bit-identical parts and achieved
-  /// mask to the other engines — p is achieved iff some state of some Q_i
+  /// mask to the reference engine — p is achieved iff some state of some Q_i
   /// has a pattern-p edge, i.e. iff Q_i intersects the source mask.
   std::uint32_t FillPartsPlanned(const std::uint64_t* tuple,
                                  std::uint32_t store_mask, LabelId label,
@@ -348,41 +323,6 @@ class SuccessorGenerator {
     return achieved_mask;
   }
 
-  /// Word-parallel kernel: for each source state of each Q_i, OR the
-  /// pre-packed 64-states-at-a-time successor rows into the pattern parts.
-  std::uint32_t FillPartsKernel(const std::uint64_t* tuple,
-                                std::uint32_t store_mask, LabelId label,
-                                BlockScratch* s) const {
-    assert(ag_.kernel_row_words() == set_words_);
-    std::uint32_t achieved_mask = 0;
-    for (std::size_t i = 0; i < n_; i++) {
-      const std::uint64_t* q = tuple + i * set_words_;
-      std::uint64_t* parts_i = s->parts.data() + i * num_patterns_ * set_words_;
-      for (std::size_t w = 0; w < set_words_; w++) {
-        std::uint64_t bits = q[w];
-        while (bits != 0) {
-          AgState state = static_cast<AgState>(
-              (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits)));
-          bits &= bits - 1;
-          if (GQD_CANCEL_STRIDE_CHECK(cancel_, s->ticks)) {
-            s->expired = true;
-            return achieved_mask;
-          }
-          std::uint32_t pats = ag_.AchievedPatternsAt(store_mask, label, state);
-          achieved_mask |= pats;
-          while (pats != 0) {
-            std::uint32_t p =
-                static_cast<std::uint32_t>(__builtin_ctz(pats));
-            pats &= pats - 1;
-            OrWords(parts_i + p * set_words_,
-                    ag_.KernelRow(store_mask, label, p, state), set_words_);
-          }
-        }
-      }
-    }
-    return achieved_mask;
-  }
-
   /// Reference shape: walk the successor lists one edge at a time.
   std::uint32_t FillPartsReference(const std::uint64_t* tuple,
                                    std::uint32_t store_mask, LabelId label,
@@ -415,12 +355,15 @@ class SuccessorGenerator {
   }
 
   /// Enumerates the non-empty subsets of s->achieved in exclude-first DFS
-  /// order — the canonical order both engines share. The kernel engine
+  /// order — the canonical order both engines share. The planned engine
   /// maintains the running union incrementally: entering the include branch
   /// costs one OR pass from the parent subset, and the parent's value is
   /// saved to a per-depth buffer and rolled back afterwards (the Gray-code
   /// style walk of the subset lattice; no allocation, no recompute). The
-  /// reference engine rebuilds each leaf's union from its included parts.
+  /// save/OR/restore is clipped to the word window the pattern's parts can
+  /// occupy (the plan's target span): words outside it never change, so
+  /// restoring only the window restores the whole union. The reference
+  /// engine rebuilds each leaf's union from its included parts.
   void EnumerateSubsets(std::size_t depth, MintermMask condition,
                         BlockScratch* s) const {
     if (s->expired) {
@@ -435,10 +378,6 @@ class SuccessorGenerator {
     EnumerateSubsets(depth + 1, condition, s);  // exclude achieved[depth]
     std::uint8_t pattern = s->achieved[depth];
     if (engine_ == KRemEngine::kPlanned) {
-      // Same incremental union as the kernel branch, but the save/OR/
-      // restore is clipped to the word window pattern's parts can occupy
-      // (the plan's target span): words outside it never change, so
-      // restoring only the window restores the whole union.
       std::uint32_t begin = s->span_begin[pattern];
       std::size_t span = s->span_end[pattern] - begin;
       std::uint64_t* save = s->stack.data() + depth * tuple_words_;
@@ -458,19 +397,6 @@ class SuccessorGenerator {
                     save + i * set_words_ + begin,
                     span * sizeof(std::uint64_t));
       }
-    } else if (engine_ == KRemEngine::kKernel) {
-      std::uint64_t* save = s->stack.data() + depth * tuple_words_;
-      std::memcpy(save, s->current.data(),
-                  tuple_words_ * sizeof(std::uint64_t));
-      for (std::size_t i = 0; i < n_; i++) {
-        OrWords(s->current.data() + i * set_words_,
-                s->parts.data() + (i * num_patterns_ + pattern) * set_words_,
-                set_words_);
-      }
-      EnumerateSubsets(depth + 1,
-                       condition | (MintermMask{1} << pattern), s);
-      std::memcpy(s->current.data(), save,
-                  tuple_words_ * sizeof(std::uint64_t));
     } else {
       s->included[s->included_count++] = pattern;
       EnumerateSubsets(depth + 1,
@@ -762,14 +688,14 @@ Result<KRemDefinabilityResult> CheckKRemDense(
                        AssignmentGraph::Build(graph, k, options.budget));
   std::size_t n = graph.NumNodes();
 
-  // The query-plan dispatch table (built only when the planned engine is
-  // requested; it declines over its memory budget, downgrading to kKernel).
+  // The query-plan dispatch table, built only for the planned engine. It
+  // stays disabled when it declines over its memory budget, and the search
+  // then runs the reference shape.
   KernelDispatchTable dispatch;
   if (options.engine == KRemEngine::kPlanned) {
     dispatch = KernelDispatchTable::Build(ag);
   }
-  SuccessorGenerator generator(ag, n, options.engine, &dispatch,
-                               options.cancel);
+  SuccessorGenerator generator(ag, n, dispatch, options.cancel);
   std::size_t set_words = generator.set_words();
   std::size_t tuple_words = generator.tuple_words();
 
@@ -840,68 +766,28 @@ Result<KRemDefinabilityResult> CheckKRemDense(
     process_tuple(0);
   }
 
-  // Frontier-parallel setup. Successor generation is a pure function of
-  // the head tuple, so the parallel path generates a *batch* of already-
-  // known frontier heads per round (each worker takes a strided slice of
-  // the batch, covering every (store set, letter) block of its heads) and
-  // then merges sequentially in (head, block) order — one barrier per
-  // batch instead of per head, and results identical to sequential.
-  // Every (head-in-batch, block) pair owns a scratch slot, so the steady
-  // state allocates nothing; the batch is sized to keep that scratch
-  // within a fixed budget.
-  std::size_t num_blocks = ag.num_store_masks() * ag.num_labels();
-  std::optional<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool.emplace(options.num_threads);
-  }
-  std::size_t batch_heads = 1;
-  if (pool.has_value()) {
-    constexpr std::size_t kBatchScratchBudgetBytes = std::size_t{256} << 20;
-    std::size_t per_head_bytes =
-        num_blocks *
-        (n * ag.num_patterns() + ag.num_patterns() * n + 1) * set_words *
-        sizeof(std::uint64_t);
-    std::size_t memory_cap =
-        kBatchScratchBudgetBytes / (per_head_bytes == 0 ? 1 : per_head_bytes);
-    batch_heads = std::min<std::size_t>(
-        {8 * pool->num_threads(), 128,
-         memory_cap == 0 ? std::size_t{1} : memory_cap});
-    if (batch_heads == 0) {
-      batch_heads = 1;
-    }
-  }
-  std::vector<BlockScratch> scratch(pool.has_value() ? batch_heads * num_blocks
-                                                     : 1);
-  for (BlockScratch& s : scratch) {
-    generator.InitScratch(&s);
-  }
+  BlockScratch scratch;
+  generator.InitScratch(&scratch);
 
-  // Flush the planned engine's per-scratch kernel-class hit counters into
-  // the global plan metrics exactly once, on every exit path.
+  // Flush the planned engine's kernel-class hit counters into the global
+  // plan metrics exactly once, on every exit path.
   struct KernelHitsFlusher {
-    const std::vector<BlockScratch>* scratch;
+    const BlockScratch* scratch;
     ~KernelHitsFlusher() {
-      std::uint64_t hits[kNumKernelClasses] = {};
-      bool any = false;
-      for (const BlockScratch& s : *scratch) {
-        for (std::size_t c = 0; c < kNumKernelClasses; c++) {
-          hits[c] += s.class_hits[c];
-          any = any || hits[c] != 0;
+      for (std::uint64_t hits : scratch->class_hits) {
+        if (hits != 0) {
+          RecordPlanKernelHits(scratch->class_hits);
+          return;
         }
-      }
-      if (any) {
-        RecordPlanKernelHits(hits);
       }
     }
   } hits_flusher{&scratch};
 
-  // Merges one block's candidates into the store, in emission order.
-  // Generation never reads interning state, so merge order — blocks in
-  // (store_mask, label) order, candidates in DFS order — fully determines
-  // the result regardless of thread count.
-  auto merge_block = [&](BlockScratch& s, std::uint32_t mask,
-                         LabelId label, std::size_t head) {
-    for (const Candidate& c : s.candidates) {
+  // Merges one block's candidates into the store, in emission order:
+  // blocks in (store_mask, label) order, candidates in DFS order.
+  auto merge_block = [&](std::uint32_t mask, LabelId label,
+                         std::size_t head) {
+    for (const Candidate& c : scratch.candidates) {
       if (tuples.fault()) {
         // Injected growth failure: stop interning so the fixed-size probe
         // table cannot fill up; the BFS loop surfaces the fault.
@@ -909,7 +795,7 @@ Result<KRemDefinabilityResult> CheckKRemDense(
       }
       bool inserted = false;
       std::size_t index =
-          tuples.Intern(s.arena.data() + c.offset, c.hash, &inserted);
+          tuples.Intern(scratch.arena.data() + c.offset, c.hash, &inserted);
       if (inserted) {
         parent.push_back(head);
         incoming.push_back(BasicRemBlock{mask, label, c.condition});
@@ -986,94 +872,22 @@ Result<KRemDefinabilityResult> CheckKRemDense(
       result.tuples_explored = tuples.size();
       return result;
     }
-    if (pool.has_value()) {
-      // Generate every block of up to batch_heads known heads in one
-      // parallel round. The store is read-only until all workers finish
-      // (interning happens only in the merge below), so TupleAt pointers
-      // stay valid throughout the round.
-      std::size_t batch = std::min(batch_heads, tuples.size() - head);
-      std::size_t num_workers = std::min(pool->num_threads(), batch);
-      std::mutex done_mutex;
-      std::condition_variable done_cv;
-      std::size_t remaining = num_workers;
-      advance_generation_span(head);
-      // Pool workers do not inherit this thread's tracer; each task
-      // re-installs it so generation work shows up one track per worker.
-      Tracer* tracer = Tracer::Current();
-      {
-        GQD_TRACE_SPAN(batch_span, "krem.generate_batch");
-        GQD_TRACE_SPAN_ATTR(batch_span, "heads", batch);
-        GQD_TRACE_SPAN_ATTR(batch_span, "workers", num_workers);
-        for (std::size_t w = 0; w < num_workers; w++) {
-          pool->Submit([&generator, &scratch, &tuples, &done_mutex, &done_cv,
-                        &remaining, &ag, head, batch, num_workers, num_blocks,
-                        tracer, w] {
-            Tracer::Scope scope(tracer);
-            GQD_TRACE_SPAN(worker_span, "krem.worker_generate");
-            GQD_TRACE_SPAN_ATTR(worker_span, "worker", w);
-            for (std::size_t b = w; b < batch; b += num_workers) {
-              const std::uint64_t* words = tuples.TupleAt(head + b);
-              for (std::size_t t = 0; t < num_blocks; t++) {
-                generator.Generate(
-                    words, static_cast<std::uint32_t>(t / ag.num_labels()),
-                    static_cast<LabelId>(t % ag.num_labels()),
-                    &scratch[b * num_blocks + t]);
-              }
-            }
-            // Notify while holding the lock: the waiter owns these locals
-            // and destroys them the moment it observes remaining == 0.
-            std::lock_guard<std::mutex> lock(done_mutex);
-            remaining--;
-            done_cv.notify_one();
-          });
+    advance_generation_span(head);
+    for (std::uint32_t mask = 0;
+         mask < ag.num_store_masks() && unsolved > 0; mask++) {
+      for (LabelId label = 0; label < ag.num_labels() && unsolved > 0;
+           label++) {
+        if (options.cancel != nullptr && options.cancel->Expired()) {
+          return options.cancel->Check();
         }
-        {
-          std::unique_lock<std::mutex> lock(done_mutex);
-          done_cv.wait(lock, [&remaining] { return remaining == 0; });
+        generator.Generate(tuples.TupleAt(head), mask, label, &scratch);
+        if (scratch.expired) {
+          return options.cancel->Check();
         }
+        merge_block(mask, label, head);
       }
-      if (options.cancel != nullptr && options.cancel->Expired()) {
-        return options.cancel->Check();
-      }
-      for (std::size_t b = 0; b < batch && unsolved > 0; b++, head++) {
-        advance_generation_span(head);
-        if (tuples.fault()) {
-          return injected_fault();
-        }
-        if (options.budget != nullptr && options.budget->Exhausted()) {
-          return exhausted_result(head);
-        }
-        if (tuples.size() > options.max_tuples) {
-          result.verdict = DefinabilityVerdict::kBudgetExhausted;
-          result.tuples_explored = tuples.size();
-          return result;
-        }
-        GQD_TRACE_SPAN(merge_span, "krem.merge");
-        GQD_TRACE_SPAN_ATTR(merge_span, "head", head);
-        for (std::size_t t = 0; t < num_blocks && unsolved > 0; t++) {
-          merge_block(scratch[b * num_blocks + t],
-                      static_cast<std::uint32_t>(t / ag.num_labels()),
-                      static_cast<LabelId>(t % ag.num_labels()), head);
-        }
-      }
-    } else {
-      advance_generation_span(head);
-      for (std::uint32_t mask = 0;
-           mask < ag.num_store_masks() && unsolved > 0; mask++) {
-        for (LabelId label = 0; label < ag.num_labels() && unsolved > 0;
-             label++) {
-          if (options.cancel != nullptr && options.cancel->Expired()) {
-            return options.cancel->Check();
-          }
-          generator.Generate(tuples.TupleAt(head), mask, label, &scratch[0]);
-          if (scratch[0].expired) {
-            return options.cancel->Check();
-          }
-          merge_block(scratch[0], mask, label, head);
-        }
-      }
-      head++;
     }
+    head++;
   }
 
   if (gen_span.has_value()) {
@@ -1117,9 +931,8 @@ Result<KRemDefinabilityResult> CheckKRemDense(
 /// exploration order and interning semantics as CheckKRemDense, but no
 /// allocation is ever proportional to n² — tuples are sorted entry lists
 /// and acceptance probes the pair map entry by entry instead of building
-/// an n²-bit projection scratch. Sequential by design (the per-block work
-/// is already proportional to the live frontier); `engine` and
-/// `num_threads` are ignored.
+/// an n²-bit projection scratch. Walks successors in the reference shape;
+/// `engine` is ignored.
 template <typename Rel>
 Result<KRemDefinabilityResult> CheckKRemSparseFrontier(
     const DataGraph& graph, const Rel& relation, std::size_t k,

@@ -43,20 +43,18 @@ struct KRemWitness {
   std::vector<BasicRemBlock> blocks;
 };
 
-/// Which successor machinery the BFS runs on. All engines explore tuples
+/// Which successor machinery the BFS runs on. Both engines explore tuples
 /// in the same canonical order and compute the same successor bits, so
-/// verdicts, witnesses and tuples_explored are identical at every thread
-/// count — the reference engine exists as a differential-testing oracle
-/// for the faster paths (see tests/test_definability_diff).
+/// verdicts, witnesses and tuples_explored are identical — the reference
+/// engine exists as a differential-testing oracle for the planned engine
+/// (see tests/test_definability_diff).
 enum class KRemEngine {
   /// Specialized per-transition kernels picked by the query-plan static
   /// analyzer (analysis/plan/kernel_dispatch.h): identity, single-bit,
   /// CSR-sparse or dense inner loops clipped to the word spans each
-  /// transition can touch. Downgrades to kKernel (then kReference) when
-  /// the dispatch table declines to build. The default.
+  /// transition can touch. Runs the reference shape when the dispatch
+  /// table declines to build. The default.
   kPlanned,
-  /// Word-parallel kernel rows + incremental subset unions.
-  kKernel,
   /// Straightforward per-successor derivation with from-scratch subset
   /// unions — the shape of the original implementation, kept as an oracle.
   kReference,
@@ -78,8 +76,8 @@ enum class KRemTupleStore {
   /// Sorted (node, state) entry lists — memory proportional to the live
   /// frontier states instead of n², the only representation that fits
   /// million-node graphs. Successor generation walks SuccessorsOf (the
-  /// reference shape) and runs sequentially: the `engine` and
-  /// `num_threads` options are ignored, with bit-identical results.
+  /// reference shape): the `engine` option is ignored, with bit-identical
+  /// results.
   kSparseFrontier,
 };
 
@@ -90,19 +88,13 @@ inline constexpr std::size_t kDenseTupleBytesCap = std::size_t{64} << 20;
 struct KRemDefinabilityOptions {
   /// Maximum number of distinct macro tuples to explore before giving up.
   std::size_t max_tuples = 200'000;
-  /// Successor-generation workers for each BFS frontier step. The
-  /// independent (store set, letter) blocks of the current tuple fan out
-  /// across a shared ThreadPool; results merge back in canonical block
-  /// order, so verdicts, witnesses and tuples_explored are bit-identical
-  /// for every thread count. 0 or 1 means sequential.
-  std::size_t num_threads = 1;
   /// Successor machinery; kPlanned unless you are cross-checking. Ignored
   /// by the sparse frontier tuple store (reference-shape walk).
   KRemEngine engine = KRemEngine::kPlanned;
   /// Macro-tuple representation; kAuto unless you are cross-checking.
   KRemTupleStore tuple_store = KRemTupleStore::kAuto;
-  /// Optional cooperative cancellation: the BFS (and its workers) polls
-  /// this token and returns Status::DeadlineExceeded once it expires.
+  /// Optional cooperative cancellation: the BFS polls this token and
+  /// returns Status::DeadlineExceeded once it expires.
   const CancelToken* cancel = nullptr;
   /// Optional resource governance: the tuple store charges its allocations
   /// here and the BFS polls it at frontier boundaries. On exhaustion the

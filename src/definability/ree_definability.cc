@@ -19,8 +19,8 @@ GQD_FAILPOINT_DEFINE(fp_ree_closure, "ree.closure");
 /// With `masks` set, the =/≠ restrictions run rowized (one word-parallel
 /// AND / AND-NOT per row against the source node's value class); with
 /// `masks == nullptr` they run the retained per-bit reference loops. With
-/// `diagonal` set (planned engine, all value classes singletons) they run
-/// the diagonal forms instead, counting executions into `diagonal_hits`.
+/// `diagonal` set (all value classes singletons) they run the diagonal
+/// forms instead, counting executions into `diagonal_hits`.
 struct BigRelationOps {
   using Rel = BinaryRelation;
   using Hash = BinaryRelationHash;
@@ -444,7 +444,7 @@ Result<ReeDefinabilityResult> CheckReeDefinability(
                              options);
   }
   ValueClassMasks masks(graph);
-  if (options.engine == ReeEngine::kPlanned && masks.AllSingletons()) {
+  if (masks.AllSingletons()) {
     // Planned diagonal kernel: ρ is injective, so the =/≠ restrictions
     // never need the class masks. Flush executions into the plan metrics
     // once, alongside the k-REM checker's kernel-class hits.

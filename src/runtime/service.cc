@@ -584,12 +584,6 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
   const ResourceBudget* budget =
       budget_storage.has_value() ? &budget_storage.value() : nullptr;
   BudgetAxisRecorder axis_recorder(&stats_, &budget_storage);
-  // Optional frontier-parallel successor generation (krem/rpq checkers);
-  // any thread count returns bit-identical results.
-  GQD_ASSIGN_OR_RETURN(std::int64_t threads, request.GetIntOr("threads", 1));
-  if (threads < 0) {
-    return Status::InvalidArgument("field 'threads' must be non-negative");
-  }
   // Optional "relation_backend": auto (default), dense, sparse, blocked.
   // The estimated cost of the selected representation is admitted against
   // the request budget before anything is built, so a served check is
@@ -638,7 +632,6 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
     KRemDefinabilityOptions options;
     options.cancel = cancel;
     options.budget = budget;
-    options.num_threads = static_cast<std::size_t>(threads);
     GQD_ASSIGN_OR_RETURN(RpqDefinabilityResult result,
                          CheckRpqDefinability(*entry.graph, relation,
                                               options));
@@ -656,7 +649,6 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
     KRemDefinabilityOptions options;
     options.cancel = cancel;
     options.budget = budget;
-    options.num_threads = static_cast<std::size_t>(threads);
     GQD_ASSIGN_OR_RETURN(
         KRemDefinabilityResult result,
         CheckKRemDefinability(*entry.graph, relation,

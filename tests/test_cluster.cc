@@ -20,37 +20,18 @@
 #include "cluster/hash_ring.h"
 #include "cluster/router.h"
 #include "cluster/worker_link.h"
+#include "common/json.h"
 #include "eval/rpq_eval.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
 #include "graph/serialization.h"
 #include "regex/parser.h"
 #include "runtime/client.h"
-#include "runtime/json.h"
 #include "runtime/server.h"
 #include "runtime/service.h"
 
 namespace gqd {
 namespace {
-
-/// Routed responses carry per-request routing metadata — served_by,
-/// failovers, trace_id — that legitimately differs between replicas and
-/// requests. The bit-identity invariant covers the query payload, so
-/// comparisons strip the metadata first.
-std::string PayloadOnly(const std::string& line) {
-  auto parsed = JsonValue::Parse(line);
-  if (!parsed.ok() || !parsed.value().is_object()) {
-    return line;
-  }
-  JsonValue::Object body;
-  for (const auto& [key, value] : parsed.value().AsObject()) {
-    if (key == "served_by" || key == "failovers" || key == "trace_id") {
-      continue;
-    }
-    body.emplace_back(key, value);
-  }
-  return JsonValue(std::move(body)).Serialize();
-}
 
 // --- Hash ring ----------------------------------------------------------
 
@@ -478,8 +459,8 @@ TEST_F(ClusterTest, WorkerDeathFailsOverWithBitIdenticalResponse) {
   // both rotation slots: one lands on the dead worker first and fails
   // over. Either way the client sees the bit-identical payload — no
   // error, no retry needed.
-  EXPECT_EQ(PayloadOnly(Route(EvalLine("a.a"))), PayloadOnly(canonical));
-  EXPECT_EQ(PayloadOnly(Route(EvalLine("a.a"))), PayloadOnly(canonical));
+  EXPECT_EQ(RoutedPayload(Route(EvalLine("a.a"))), RoutedPayload(canonical));
+  EXPECT_EQ(RoutedPayload(Route(EvalLine("a.a"))), RoutedPayload(canonical));
   EXPECT_GE(router_->GetSnapshot().failovers, 1u);
 }
 

@@ -194,17 +194,15 @@ TEST(Tracer, DrainResetsStateForReuse) {
   EXPECT_STREQ(out.spans[0].name, "second");
 }
 
-// Frontier-parallel k-REM under a tracer: per-generation BFS spans must
-// exist, nest under krem.bfs, and their durations sum to no more than the
-// parent's (they partition the loop, minus witness reconstruction).
-TEST(Tracer, TracedParallelKRemGenerationSpansNestAndSum) {
+// k-REM under a tracer: per-generation BFS spans must exist, nest under
+// krem.bfs, and their durations sum to no more than the parent's (they
+// partition the loop, minus witness reconstruction).
+TEST(Tracer, TracedKRemGenerationSpansNestAndSum) {
   DataGraph g = Figure1Graph();
   Tracer tracer;
   {
     Tracer::Scope scope(&tracer);
-    KRemDefinabilityOptions options;
-    options.num_threads = 2;
-    auto result = CheckKRemDefinability(g, Figure1S2(g), 2, options);
+    auto result = CheckKRemDefinability(g, Figure1S2(g), 2);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result.value().verdict, DefinabilityVerdict::kDefinable);
   }

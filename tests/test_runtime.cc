@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/json.h"
 #include "definability/krem_definability.h"
 #include "definability/ree_definability.h"
 #include "eval/eval_options.h"
@@ -21,7 +22,6 @@
 #include "rem/parser.h"
 #include "regex/parser.h"
 #include "runtime/graph_registry.h"
-#include "runtime/json.h"
 #include "runtime/result_cache.h"
 #include "runtime/service.h"
 #include "runtime/stats.h"
@@ -123,7 +123,16 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
     std::this_thread::yield();
   }
   EXPECT_EQ(counter.load(), kTasks);
+  // A worker counts a task as executed only after its body returns, so the
+  // last few counts can trail `done`; give them up to 5 s to land.
   ThreadPool::Stats stats = pool.GetStats();
+  for (int wait_ms = 0;
+       wait_ms < 5000 &&
+       stats.tasks_executed < static_cast<std::uint64_t>(kTasks);
+       wait_ms++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = pool.GetStats();
+  }
   EXPECT_EQ(stats.num_threads, 4u);
   EXPECT_EQ(stats.tasks_executed, static_cast<std::uint64_t>(kTasks));
   EXPECT_EQ(stats.queued_tasks, 0u);

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "eval/ree_eval.h"
 #include "eval/rem_eval.h"
 #include "eval/rpq_eval.h"
@@ -27,7 +28,6 @@
 #include "regex/parser.h"
 #include "rem/parser.h"
 #include "runtime/client.h"
-#include "runtime/json.h"
 #include "runtime/server.h"
 #include "runtime/service.h"
 
@@ -530,6 +530,33 @@ TEST_F(ServeTest, PerRequestBudgetReturnsPartialProgress) {
   EXPECT_EQ(partial->GetString("stage").ValueOrDie(), "krem-bfs");
   EXPECT_GT(partial->GetInt("tuples_explored").ValueOrDie(), 0);
   EXPECT_GE(partial->GetInt("bytes_peak").ValueOrDie(), 4194304);
+}
+
+TEST_F(ServeTest, CheckIgnoresThreadsField) {
+  // `check` reads no `threads` field: a line that still carries one is
+  // answered exactly like the same line without it.
+  DataGraph g = Figure1Graph();
+  std::string relation_text = WriteRelationText(g, Figure1S2(g));
+  service_.registry().Register("fig1", std::move(g));
+  auto check = [&](bool with_threads) {
+    JsonValue::Object request;
+    request.emplace_back("cmd", "check");
+    request.emplace_back("graph", "fig1");
+    request.emplace_back("checker", "krem");
+    request.emplace_back("relation", relation_text);
+    if (with_threads) {
+      request.emplace_back("threads", 4.0);
+    }
+    auto parsed = JsonValue::Parse(
+        Call(JsonValue(std::move(request)).Serialize()));
+    EXPECT_TRUE(parsed.ok());
+    return parsed.ok() ? parsed.value() : JsonValue();
+  };
+  JsonValue plain = check(false);
+  JsonValue threaded = check(true);
+  ASSERT_TRUE(plain.Find("ok")->AsBool()) << plain.Serialize();
+  EXPECT_EQ(plain.GetString("verdict").ValueOrDie(), "definable");
+  EXPECT_EQ(threaded.Serialize(), plain.Serialize());
 }
 
 TEST_F(ServeTest, NegativeBudgetIsRejected) {

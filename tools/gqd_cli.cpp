@@ -75,15 +75,13 @@ int Usage() {
       "           [--max-bytes N] [--max-tuples N] [--trace-out FILE]\n"
       "  gqd check <graph> <relation> [--language all|rpq|rem|ree|ucrdpq]"
       " [--k N]\n"
-      "            [--threads N] [--engine kernel|reference]"
-      " [--max-tuples N]\n"
+      "            [--engine reference] [--max-tuples N]\n"
       "            [--max-bytes N] [--relation-backend"
       " auto|dense|sparse|blocked]\n"
       "            [--json] [--trace-out FILE]\n"
       "  gqd synth <graph> <relation> --language rpq|rem|ree [--k N]"
       " [--simplify]\n"
-      "            [--threads N] [--engine kernel|reference]"
-      " [--max-bytes N]\n"
+      "            [--engine reference] [--max-bytes N]\n"
       "  gqd convert <regex|ree> <expression>\n"
       "  gqd convert graph <in> [<out>] [--validate]\n"
       "  gqd convert relation <graph> <in> <out>\n"
@@ -313,6 +311,22 @@ void BudgetFromFlags(int argc, char** argv,
   }
 }
 
+/// Applies `--engine reference` (the differential-testing oracles) to both
+/// checkers' options; false on any other --engine value.
+bool EngineFromFlags(int argc, char** argv, KRemDefinabilityOptions* krem,
+                     ReeDefinabilityOptions* ree) {
+  const char* engine_flag = FlagValue(argc, argv, "--engine");
+  if (engine_flag == nullptr) {
+    return true;
+  }
+  if (std::strcmp(engine_flag, "reference") != 0) {
+    return false;
+  }
+  krem->engine = KRemEngine::kReference;
+  ree->engine = ReeEngine::kReference;
+  return true;
+}
+
 /// Prints a checker's partial-progress report (budget trips) to stderr and
 /// reports whether one was present — the caller exits 4 in that case.
 bool ReportPartial(const std::optional<PartialProgress>& partial) {
@@ -524,19 +538,8 @@ int CmdCheck(int argc, char** argv) {
 
   KRemDefinabilityOptions krem_options;
   ReeDefinabilityOptions ree_options;
-  const char* threads_flag = FlagValue(argc, argv, "--threads");
-  if (threads_flag != nullptr) {
-    krem_options.num_threads = std::strtoul(threads_flag, nullptr, 10);
-  }
-  const char* engine_flag = FlagValue(argc, argv, "--engine");
-  if (engine_flag != nullptr) {
-    std::string engine = engine_flag;
-    if (engine == "reference") {
-      krem_options.engine = KRemEngine::kReference;
-      ree_options.engine = ReeEngine::kReference;
-    } else if (engine != "kernel") {
-      return Usage();
-    }
+  if (!EngineFromFlags(argc, argv, &krem_options, &ree_options)) {
+    return Usage();
   }
   const char* max_tuples_flag = FlagValue(argc, argv, "--max-tuples");
   if (max_tuples_flag != nullptr) {
@@ -644,19 +647,8 @@ int CmdSynth(int argc, char** argv) {
 
   KRemDefinabilityOptions krem_options;
   ReeDefinabilityOptions ree_options;
-  const char* threads_flag = FlagValue(argc, argv, "--threads");
-  if (threads_flag != nullptr) {
-    krem_options.num_threads = std::strtoul(threads_flag, nullptr, 10);
-  }
-  const char* engine_flag = FlagValue(argc, argv, "--engine");
-  if (engine_flag != nullptr) {
-    std::string engine = engine_flag;
-    if (engine == "reference") {
-      krem_options.engine = KRemEngine::kReference;
-      ree_options.engine = ReeEngine::kReference;
-    } else if (engine != "kernel") {
-      return Usage();
-    }
+  if (!EngineFromFlags(argc, argv, &krem_options, &ree_options)) {
+    return Usage();
   }
   // Budget governs the definability search inside synthesis; a trip
   // surfaces as verdict budget-exhausted, i.e. "no query synthesized".
@@ -1646,9 +1638,9 @@ int CmdBenchServeCluster(int argc, char** argv) {
   constexpr std::size_t kNumQueries = sizeof(kQueries) / sizeof(kQueries[0]);
 
   // Bit-identity across replicas and failover: the first ok response per
-  // (shard, query template) is canonical; every later ok response must
-  // match it byte for byte (verdicts are deterministic, so which replica
-  // served is invisible).
+  // (shard, query template) is canonical; every later ok response's
+  // payload must match it byte for byte (verdicts are deterministic, so
+  // which replica served is invisible once the routing metadata is gone).
   std::mutex canonical_mutex;
   std::vector<std::string> canonical(num_graphs * kNumQueries);
   std::atomic<std::size_t> mismatches{0};
@@ -1701,10 +1693,11 @@ int CmdBenchServeCluster(int argc, char** argv) {
           continue;
         }
         std::size_t key = graph_index * kNumQueries + query_index;
+        std::string payload = RoutedPayload(response.value());
         std::lock_guard<std::mutex> lock(canonical_mutex);
         if (canonical[key].empty()) {
-          canonical[key] = response.value();
-        } else if (canonical[key] != response.value()) {
+          canonical[key] = std::move(payload);
+        } else if (canonical[key] != payload) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }

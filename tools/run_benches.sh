@@ -159,23 +159,6 @@ for entry in results:
             "speedup": baseline / entry["wall_ms"],
         }
 
-# *_Plan/*_NoPlan pairs are same-workload ablations of the query-plan
-# kernel dispatch; pair them into speedup records (NoPlan is the
-# word-parallel generic engine the planned engine downgrades to).
-plan_dispatch = {}
-by_name = {e["name"]: e for e in results}
-for name, entry in by_name.items():
-    if not name.endswith("_Plan"):
-        continue
-    generic = by_name.get(name[: -len("_Plan")] + "_NoPlan")
-    if generic is None:
-        continue
-    plan_dispatch[name[: -len("_Plan")]] = {
-        "planned_ms": entry["wall_ms"],
-        "generic_ms": generic["wall_ms"],
-        "speedup": generic["wall_ms"] / entry["wall_ms"],
-    }
-
 # Storage backend comparison: one process per loading path, so each
 # peak_rss_kb reflects only that path's footprint.
 storage = {}
@@ -294,7 +277,6 @@ with open(out_path, "w") as f:
             "generated_by": "tools/run_benches.sh",
             "baseline": "pre word-parallel kernel rewrite (Release)",
             "medium_configs": medium,
-            "plan_dispatch": plan_dispatch,
             "storage": storage,
             "sparse_relations": sparse_relations,
             "cluster": cluster,
@@ -309,9 +291,6 @@ with open(out_path, "w") as f:
 for name, m in sorted(medium.items()):
     print(f"{name}: {m['wall_ms']:.3f} ms "
           f"(baseline {m['baseline_ms']:.3f} ms, {m['speedup']:.2f}x)")
-for name, m in sorted(plan_dispatch.items()):
-    print(f"{name}: planned {m['planned_ms']:.3f} ms vs generic "
-          f"{m['generic_ms']:.3f} ms ({m['speedup']:.2f}x)")
 if storage:
     print(f"storage ({storage['workload']}): "
           f"text {storage['text']['load_ms']:.1f} ms vs "
