@@ -17,11 +17,13 @@ namespace {
 
 GQD_FAILPOINT_DEFINE(fp_krem_arena_grow, "krem.arena.grow");
 
-// The BFS works on macro tuples ⟨Q_1, ..., Q_n⟩ stored as flat word arrays:
-// n consecutive packed state sets of `set_words` words each. Flat storage
-// keeps every interned tuple in one contiguous allocation (cache-friendly
-// hashing/equality) and lets the interner probe by stored hash + index
-// instead of keeping a second copy of the words as a map key.
+// The BFS works on macro tuples ⟨Q_1, ..., Q_n⟩, each stored as one run of
+// words in a flat arena. Two layouts share the arena and its interner: the
+// dense layout is n consecutive packed state sets of `set_words` words each
+// (a fixed-length run), the sparse layout a sorted list of packed
+// (node index, state) entries (a variable-length run). The interner probes
+// by stored hash + index instead of keeping a second copy of the words as a
+// map key.
 
 inline void OrWords(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t count) {
@@ -40,13 +42,23 @@ std::uint64_t HashTupleWords(const std::uint64_t* words, std::size_t count) {
   return seed;
 }
 
-/// Flat macro-tuple store with an open-addressed interner. Tuple `t`'s
-/// words live at [t·tuple_words, (t+1)·tuple_words); the probe table holds
-/// only (hash, index) — the words are never duplicated into a key.
+/// Packs sparse entry (i, state): sorting these u64s sorts by node index
+/// first, then state — exactly the row-major order of the dense bitset.
+inline std::uint64_t PackEntry(std::size_t i, AgState state) {
+  return (static_cast<std::uint64_t>(i) << 32) | state;
+}
+
+/// Flat arena of tuple runs with an open-addressed interner. With
+/// `fixed_words` > 0 every run has that length and tuple `t` lives at
+/// [t·fixed_words, (t+1)·fixed_words); with 0 runs are variable-length and
+/// an offsets array delimits them. The probe table holds only
+/// (hash, index) — the words are never duplicated into a key. Each tuple is
+/// charged exactly what it allocates: its words, its hash, and its offset
+/// when runs are variable-length.
 class TupleStore {
  public:
-  TupleStore(std::size_t tuple_words, const ResourceBudget* budget)
-      : tuple_words_(tuple_words), slots_(64, 0), budget_(budget) {
+  TupleStore(std::size_t fixed_words, const ResourceBudget* budget)
+      : fixed_words_(fixed_words), slots_(64, 0), budget_(budget) {
     if (budget_ != nullptr) {
       budget_->ChargeBytes(
           static_cast<std::int64_t>(slots_.size() * sizeof(std::size_t)));
@@ -60,33 +72,44 @@ class TupleStore {
   /// itself stays consistent — the probe table just stops growing.
   bool fault() const { return fault_; }
 
-  const std::uint64_t* TupleAt(std::size_t index) const {
-    return words_.data() + index * tuple_words_;
+  /// Pointers returned by RunAt are invalidated by an inserting Intern.
+  const std::uint64_t* RunAt(std::size_t index) const {
+    return words_.data() +
+           (fixed_words_ != 0 ? index * fixed_words_ : offsets_[index]);
+  }
+  std::size_t LengthAt(std::size_t index) const {
+    return fixed_words_ != 0 ? fixed_words_
+                             : offsets_[index + 1] - offsets_[index];
   }
 
-  /// Returns the index of the tuple equal to `words`, interning a copy
-  /// first when absent (*inserted reports which).
-  std::size_t Intern(const std::uint64_t* words, std::uint64_t hash,
-                     bool* inserted) {
+  /// Returns the index of the tuple equal to `words` (`count` long),
+  /// interning a copy first when absent (*inserted reports which).
+  std::size_t Intern(const std::uint64_t* words, std::size_t count,
+                     std::uint64_t hash, bool* inserted) {
     std::size_t mask = slots_.size() - 1;
     std::size_t pos = static_cast<std::size_t>(hash) & mask;
     while (slots_[pos] != 0) {
       std::size_t index = slots_[pos] - 1;
-      if (hashes_[index] == hash &&
-          std::memcmp(TupleAt(index), words,
-                      tuple_words_ * sizeof(std::uint64_t)) == 0) {
+      if (hashes_[index] == hash && LengthAt(index) == count &&
+          std::memcmp(RunAt(index), words, count * sizeof(std::uint64_t)) ==
+              0) {
         *inserted = false;
         return index;
       }
       pos = (pos + 1) & mask;
     }
     std::size_t index = count_++;
-    words_.insert(words_.end(), words, words + tuple_words_);
+    words_.insert(words_.end(), words, words + count);
+    std::size_t overhead_words = 1;  // the stored hash
+    if (fixed_words_ == 0) {
+      offsets_.push_back(words_.size());
+      overhead_words++;
+    }
     hashes_.push_back(hash);
     slots_[pos] = index + 1;
     if (budget_ != nullptr) {
       budget_->ChargeBytes(static_cast<std::int64_t>(
-          (tuple_words_ + 1) * sizeof(std::uint64_t)));
+          (count + overhead_words) * sizeof(std::uint64_t)));
       budget_->ChargeTuples(1);
     }
     if ((count_ + 1) * 4 > slots_.size() * 3) {
@@ -118,8 +141,9 @@ class TupleStore {
     slots_.swap(bigger);
   }
 
-  std::size_t tuple_words_;
+  std::size_t fixed_words_;
   std::vector<std::uint64_t> words_;
+  std::vector<std::size_t> offsets_{0};  ///< variable runs only
   std::vector<std::uint64_t> hashes_;
   std::vector<std::size_t> slots_;  ///< index+1, 0 = empty; pow-2 size
   std::size_t count_ = 0;
@@ -128,12 +152,13 @@ class TupleStore {
 };
 
 /// One candidate successor tuple of the current head under one block label:
-/// the condition (minterm subset), the tuple's hash, and its words' offset
-/// into the owning scratch arena.
+/// the condition (minterm subset), the tuple's hash, and its run's
+/// [offset, offset+count) in the owning scratch arena.
 struct Candidate {
   MintermMask condition;
   std::uint64_t hash;
   std::size_t offset;
+  std::size_t count;
 };
 
 /// Reusable per-(store set, letter) workspace, one per search; nothing
@@ -425,8 +450,9 @@ class SuccessorGenerator {
     }
     std::size_t offset = s->arena.size();
     s->arena.insert(s->arena.end(), s->current.begin(), s->current.end());
-    s->candidates.push_back(Candidate{
-        condition, HashTupleWords(s->current.data(), tuple_words_), offset});
+    s->candidates.push_back(
+        Candidate{condition, HashTupleWords(s->current.data(), tuple_words_),
+                  offset, tuple_words_});
   }
 
   const AssignmentGraph& ag_;
@@ -439,120 +465,15 @@ class SuccessorGenerator {
   const CancelToken* cancel_;
 };
 
-// --- Sparse frontier tuple store -------------------------------------------
+// --- Sparse successor generation ------------------------------------------
 //
 // At k = 0 a dense macro tuple is n·⌈n/64⌉ words — 125 GB at a million
-// nodes, and the projection scratch used for acceptance is just as large.
-// The sparse store instead keeps each tuple as a sorted list of packed
+// nodes. The sparse layout keeps each tuple as a sorted list of packed
 // (node index, state) entries: memory proportional to the states actually
 // live in the frontier. Interning is semantic (two tuples are equal iff
-// their entry *sets* are), the subset DFS runs in the same exclude-first
-// canonical order, and acceptance probes the pair map directly — so
-// verdicts, witnesses and tuples_explored are bit-identical to the dense
-// store on any input both can afford.
-
-/// Packs frontier entry (i, state): sorting these u64s sorts by node index
-/// first, then state — exactly the row-major order of the dense bitset.
-inline std::uint64_t PackEntry(std::size_t i, AgState state) {
-  return (static_cast<std::uint64_t>(i) << 32) | state;
-}
-
-/// Flat arena of sorted entry lists with an open-addressed semantic
-/// interner — the sparse analogue of TupleStore. Shares the
-/// krem.arena.grow failpoint so chaos scenarios cover both stores.
-class SparseTupleStore {
- public:
-  explicit SparseTupleStore(const ResourceBudget* budget)
-      : slots_(64, 0), budget_(budget) {
-    if (budget_ != nullptr) {
-      budget_->ChargeBytes(
-          static_cast<std::int64_t>(slots_.size() * sizeof(std::size_t)));
-    }
-  }
-
-  std::size_t size() const { return count_; }
-  bool fault() const { return fault_; }
-
-  const std::uint64_t* EntriesAt(std::size_t index) const {
-    return entries_.data() + offsets_[index];
-  }
-  std::size_t CountAt(std::size_t index) const {
-    return offsets_[index + 1] - offsets_[index];
-  }
-
-  /// Returns the index of the tuple equal to `entries`, interning a copy
-  /// first when absent (*inserted reports which). Pointers returned by
-  /// EntriesAt are invalidated by an inserting call.
-  std::size_t Intern(const std::uint64_t* entries, std::size_t count,
-                     std::uint64_t hash, bool* inserted) {
-    std::size_t mask = slots_.size() - 1;
-    std::size_t pos = static_cast<std::size_t>(hash) & mask;
-    while (slots_[pos] != 0) {
-      std::size_t index = slots_[pos] - 1;
-      if (hashes_[index] == hash && CountAt(index) == count &&
-          std::memcmp(EntriesAt(index), entries,
-                      count * sizeof(std::uint64_t)) == 0) {
-        *inserted = false;
-        return index;
-      }
-      pos = (pos + 1) & mask;
-    }
-    std::size_t index = count_++;
-    entries_.insert(entries_.end(), entries, entries + count);
-    offsets_.push_back(entries_.size());
-    hashes_.push_back(hash);
-    slots_[pos] = index + 1;
-    if (budget_ != nullptr) {
-      budget_->ChargeBytes(
-          static_cast<std::int64_t>((count + 2) * sizeof(std::uint64_t)));
-      budget_->ChargeTuples(1);
-    }
-    if ((count_ + 1) * 4 > slots_.size() * 3) {
-      Grow();
-    }
-    *inserted = true;
-    return index;
-  }
-
- private:
-  void Grow() {
-    if (GQD_FAILPOINT_FIRED(fp_krem_arena_grow)) {
-      fault_ = true;
-      return;
-    }
-    std::vector<std::size_t> bigger(slots_.size() * 2, 0);
-    if (budget_ != nullptr) {
-      budget_->ChargeBytes(static_cast<std::int64_t>(
-          (bigger.size() - slots_.size()) * sizeof(std::size_t)));
-    }
-    std::size_t mask = bigger.size() - 1;
-    for (std::size_t index = 0; index < count_; index++) {
-      std::size_t pos = static_cast<std::size_t>(hashes_[index]) & mask;
-      while (bigger[pos] != 0) {
-        pos = (pos + 1) & mask;
-      }
-      bigger[pos] = index + 1;
-    }
-    slots_.swap(bigger);
-  }
-
-  std::vector<std::uint64_t> entries_;
-  std::vector<std::size_t> offsets_{0};  ///< tuple t spans [off[t], off[t+1])
-  std::vector<std::uint64_t> hashes_;
-  std::vector<std::size_t> slots_;  ///< index+1, 0 = empty; pow-2 size
-  std::size_t count_ = 0;
-  const ResourceBudget* budget_;
-  bool fault_ = false;
-};
-
-/// One candidate successor of the current head under one block label, its
-/// entries stored at [offset, offset+count) of the scratch arena.
-struct SparseCandidate {
-  MintermMask condition;
-  std::uint64_t hash;
-  std::size_t offset;
-  std::size_t count;
-};
+// their entry *sets* are) and the subset DFS runs in the same exclude-first
+// canonical order, so verdicts, witnesses and tuples_explored are
+// bit-identical to the dense layout on any input both can afford.
 
 /// Reusable workspace for sparse successor generation; nothing inside the
 /// per-head loops allocates once the vectors warm up.
@@ -560,9 +481,9 @@ struct SparseBlockScratch {
   std::vector<std::vector<std::uint64_t>> parts;  ///< per pattern, sorted
   std::vector<std::uint8_t> achieved;  ///< patterns with non-empty parts
   std::vector<std::uint64_t> merged;   ///< Emit's union buffer
-  std::vector<SparseCandidate> candidates;  ///< emitted in canonical order
-  std::vector<std::uint64_t> arena;         ///< candidate tuple entries
-  std::uint8_t included[16];                ///< DFS include path
+  std::vector<Candidate> candidates;   ///< emitted in canonical order
+  std::vector<std::uint64_t> arena;    ///< candidate tuple entries
+  std::uint8_t included[16];           ///< DFS include path
   std::size_t included_count = 0;
   bool expired = false;
   std::uint32_t ticks = 0;
@@ -658,7 +579,7 @@ class SparseSuccessorGenerator {
                     s->merged.end());
     std::size_t offset = s->arena.size();
     s->arena.insert(s->arena.end(), s->merged.begin(), s->merged.end());
-    s->candidates.push_back(SparseCandidate{
+    s->candidates.push_back(Candidate{
         condition, HashTupleWords(s->merged.data(), s->merged.size()),
         offset, s->merged.size()});
   }
@@ -668,11 +589,151 @@ class SparseSuccessorGenerator {
   const CancelToken* cancel_;
 };
 
-/// The dense-tuple BFS — the historical implementation, generic over the
-/// relation representation: only num_nodes(), Pairs() and Test() are used,
-/// so any AdaptiveRelation backend drives it without densification.
-template <typename Rel>
-Result<KRemDefinabilityResult> CheckKRemDense(
+// --- Tuple layouts ---------------------------------------------------------
+//
+// What the two layouts differ in: the initial tuple, successor
+// generation, and the walk over a tuple's (node index, state) entries that
+// safety and acceptance run on. Everything else is the shared BFS driver.
+
+/// Dense layout: n packed state sets of set_words words each, one
+/// fixed-length run per tuple. Successors come from SuccessorGenerator —
+/// the planned engine when the query-plan dispatch table builds, else the
+/// reference shape.
+class DenseTuples {
+ public:
+  DenseTuples(const AssignmentGraph& ag, std::size_t n,
+              const KRemDefinabilityOptions& options)
+      : ag_(ag),
+        n_(n),
+        // Built only for the planned engine; it stays disabled when it
+        // declines over its memory budget.
+        dispatch_(options.engine == KRemEngine::kPlanned
+                      ? KernelDispatchTable::Build(ag)
+                      : KernelDispatchTable()),
+        generator_(ag, n, dispatch_, options.cancel) {
+    generator_.InitScratch(&scratch_);
+  }
+  DenseTuples(const DenseTuples&) = delete;
+  DenseTuples& operator=(const DenseTuples&) = delete;
+
+  /// Flushes the planned engine's kernel-class hit counters into the
+  /// global plan metrics exactly once, on every exit path of the search.
+  ~DenseTuples() {
+    for (std::uint64_t hits : scratch_.class_hits) {
+      if (hits != 0) {
+        RecordPlanKernelHits(scratch_.class_hits);
+        return;
+      }
+    }
+  }
+
+  std::size_t fixed_words() const { return generator_.tuple_words(); }
+
+  /// Q_i = {(v_i, ⊥^k)} — the ε expression (zero blocks).
+  std::vector<std::uint64_t> Initial() const {
+    std::size_t set_words = generator_.set_words();
+    std::vector<std::uint64_t> initial(generator_.tuple_words(), 0);
+    for (NodeId v = 0; v < n_; v++) {
+      AgState s = ag_.InitialState(v);
+      initial[v * set_words + (s >> 6)] |= std::uint64_t{1} << (s & 63);
+    }
+    return initial;
+  }
+
+  const BlockScratch& Generate(const std::uint64_t* run, std::size_t,
+                               std::uint32_t store_mask, LabelId label) {
+    generator_.Generate(run, store_mask, label, &scratch_);
+    return scratch_;
+  }
+
+  /// Calls fn(i, state) for every state of every Q_i in row-major order
+  /// while it returns true; returns false iff fn stopped the walk.
+  template <typename Fn>
+  bool ForEachEntry(const std::uint64_t* run, std::size_t, Fn fn) const {
+    std::size_t set_words = generator_.set_words();
+    for (std::size_t i = 0; i < n_; i++) {
+      const std::uint64_t* q = run + i * set_words;
+      for (std::size_t w = 0; w < set_words; w++) {
+        std::uint64_t bits = q[w];
+        while (bits != 0) {
+          AgState state = static_cast<AgState>(
+              (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits)));
+          bits &= bits - 1;
+          if (!fn(i, state)) {
+            return false;
+          }
+        }
+      }
+    }
+    return true;
+  }
+
+ private:
+  const AssignmentGraph& ag_;
+  std::size_t n_;
+  KernelDispatchTable dispatch_;
+  SuccessorGenerator generator_;
+  BlockScratch scratch_;
+};
+
+/// Sparse layout: a sorted (node index, state) entry list per tuple, one
+/// variable-length run. Successors come from SparseSuccessorGenerator (the
+/// reference shape); the `engine` option is ignored.
+class SparseTuples {
+ public:
+  SparseTuples(const AssignmentGraph& ag, std::size_t n,
+               const KRemDefinabilityOptions& options)
+      : ag_(ag), n_(n), generator_(ag, options.cancel) {
+    generator_.InitScratch(&scratch_);
+  }
+
+  std::size_t fixed_words() const { return 0; }
+
+  /// Q_i = {(v_i, ⊥^k)}. Node indices increase, so the list is born
+  /// sorted.
+  std::vector<std::uint64_t> Initial() const {
+    std::vector<std::uint64_t> initial;
+    initial.reserve(n_);
+    for (NodeId v = 0; v < n_; v++) {
+      initial.push_back(PackEntry(v, ag_.InitialState(v)));
+    }
+    return initial;
+  }
+
+  const SparseBlockScratch& Generate(const std::uint64_t* run,
+                                     std::size_t length,
+                                     std::uint32_t store_mask, LabelId label) {
+    generator_.Generate(run, length, store_mask, label, &scratch_);
+    return scratch_;
+  }
+
+  /// Same contract as DenseTuples::ForEachEntry, in the same order.
+  template <typename Fn>
+  bool ForEachEntry(const std::uint64_t* run, std::size_t length,
+                    Fn fn) const {
+    for (std::size_t e = 0; e < length; e++) {
+      if (!fn(static_cast<std::size_t>(run[e] >> 32),
+              static_cast<AgState>(run[e]))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  const AssignmentGraph& ag_;
+  std::size_t n_;
+  SparseSuccessorGenerator generator_;
+  SparseBlockScratch scratch_;
+};
+
+/// The macro-tuple BFS, generic over the tuple layout (DenseTuples or
+/// SparseTuples) and over the relation representation: only num_nodes(),
+/// Pairs() and Test() are used, so any AdaptiveRelation backend drives it
+/// without densification. Nothing it allocates besides the layout's own
+/// tuples is proportional to n².
+template <typename Tuples, typename Rel>
+Result<KRemDefinabilityResult> CheckKRemBfs(
     const DataGraph& graph, const Rel& relation, std::size_t k,
     const KRemDefinabilityOptions& options) {
   KRemDefinabilityResult result;
@@ -687,21 +748,11 @@ Result<KRemDefinabilityResult> CheckKRemDense(
   GQD_ASSIGN_OR_RETURN(AssignmentGraph ag,
                        AssignmentGraph::Build(graph, k, options.budget));
   std::size_t n = graph.NumNodes();
-
-  // The query-plan dispatch table, built only for the planned engine. It
-  // stays disabled when it declines over its memory budget, and the search
-  // then runs the reference shape.
-  KernelDispatchTable dispatch;
-  if (options.engine == KRemEngine::kPlanned) {
-    dispatch = KernelDispatchTable::Build(ag);
-  }
-  SuccessorGenerator generator(ag, n, dispatch, options.cancel);
-  std::size_t set_words = generator.set_words();
-  std::size_t tuple_words = generator.tuple_words();
+  Tuples layout(ag, n, options);
 
   // BFS bookkeeping: flat tuple storage + interner, parent links, and the
   // incoming block of each tuple for witness reconstruction.
-  TupleStore tuples(tuple_words, options.budget);
+  TupleStore tuples(layout.fixed_words(), options.budget);
   std::vector<std::size_t> parent;
   std::vector<BasicRemBlock> incoming;
 
@@ -714,88 +765,55 @@ Result<KRemDefinabilityResult> CheckKRemDense(
   }
   std::size_t unsolved = pairs.size();
 
-  // Safety and acceptance of one tuple: every (v', σ) ∈ Q_i must have
-  // ⟨v_i, v'⟩ ∈ S; a safe tuple accepts ⟨v_p, v_q⟩ iff v_q ∈ nodes(Q_p).
-  std::size_t node_words = (n + 63) / 64;
-  std::vector<std::uint64_t> projections(n * node_words);
+  // Safety and acceptance of one tuple, one entry walk each: every
+  // (v', σ) ∈ Q_i must have ⟨v_i, v'⟩ ∈ S, and a safe tuple then marks
+  // each still-unsolved ⟨v_i, v'⟩ it contains directly in the pair map.
   auto process_tuple = [&](std::size_t index) {
-    const std::uint64_t* tuple = tuples.TupleAt(index);
-    std::fill(projections.begin(), projections.end(), 0);
-    for (std::size_t i = 0; i < n; i++) {
-      const std::uint64_t* q = tuple + i * set_words;
-      for (std::size_t w = 0; w < set_words; w++) {
-        std::uint64_t bits = q[w];
-        while (bits != 0) {
-          std::size_t s = (w << 6) +
-                          static_cast<std::size_t>(__builtin_ctzll(bits));
-          bits &= bits - 1;
-          NodeId v = ag.NodeOf(static_cast<AgState>(s));
-          if (!relation.Test(static_cast<NodeId>(i), v)) {
-            return;  // unsafe: this tuple accepts no pair
-          }
-          projections[i * node_words + (v >> 6)] |= std::uint64_t{1}
-                                                    << (v & 63);
-        }
-      }
+    const std::uint64_t* run = tuples.RunAt(index);
+    std::size_t length = tuples.LengthAt(index);
+    bool safe = layout.ForEachEntry(
+        run, length, [&](std::size_t i, AgState state) {
+          return relation.Test(static_cast<NodeId>(i), ag.NodeOf(state));
+        });
+    if (!safe) {
+      return;  // unsafe: this tuple accepts no pair
     }
-    for (const auto& [p, q] : pairs) {
-      std::uint64_t key = static_cast<std::uint64_t>(p) * n + q;
-      auto it = pair_solution.find(key);
-      if (it->second == kUnsolved &&
-          (projections[p * node_words + (q >> 6)] >> (q & 63)) & 1u) {
+    layout.ForEachEntry(run, length, [&](std::size_t i, AgState state) {
+      auto it = pair_solution.find(static_cast<std::uint64_t>(i) * n +
+                                   ag.NodeOf(state));
+      if (it != pair_solution.end() && it->second == kUnsolved) {
         it->second = index;
         unsolved--;
       }
-    }
+      return unsolved > 0;
+    });
   };
 
-  // Initial tuple: Q_i = {(v_i, ⊥^k)} — the ε expression (zero blocks).
   {
     GQD_TRACE_SPAN(span, "krem.arena_init");
-    GQD_TRACE_SPAN_ATTR(span, "tuple_words", tuple_words);
-    std::vector<std::uint64_t> initial(tuple_words, 0);
-    for (NodeId v = 0; v < n; v++) {
-      AgState s = ag.InitialState(v);
-      initial[v * set_words + (s >> 6)] |= std::uint64_t{1} << (s & 63);
-    }
+    std::vector<std::uint64_t> initial = layout.Initial();
+    GQD_TRACE_SPAN_ATTR(span, "words", initial.size());
     bool inserted = false;
-    tuples.Intern(initial.data(),
-                  HashTupleWords(initial.data(), tuple_words), &inserted);
+    tuples.Intern(initial.data(), initial.size(),
+                  HashTupleWords(initial.data(), initial.size()), &inserted);
     parent.push_back(kUnsolved);
     incoming.push_back(BasicRemBlock{});
     process_tuple(0);
   }
 
-  BlockScratch scratch;
-  generator.InitScratch(&scratch);
-
-  // Flush the planned engine's kernel-class hit counters into the global
-  // plan metrics exactly once, on every exit path.
-  struct KernelHitsFlusher {
-    const BlockScratch* scratch;
-    ~KernelHitsFlusher() {
-      for (std::uint64_t hits : scratch->class_hits) {
-        if (hits != 0) {
-          RecordPlanKernelHits(scratch->class_hits);
-          return;
-        }
-      }
-    }
-  } hits_flusher{&scratch};
-
   // Merges one block's candidates into the store, in emission order:
   // blocks in (store_mask, label) order, candidates in DFS order.
-  auto merge_block = [&](std::uint32_t mask, LabelId label,
-                         std::size_t head) {
-    for (const Candidate& c : scratch.candidates) {
+  auto merge_block = [&](const auto& block, std::uint32_t mask,
+                         LabelId label, std::size_t head) {
+    for (const Candidate& c : block.candidates) {
       if (tuples.fault()) {
         // Injected growth failure: stop interning so the fixed-size probe
         // table cannot fill up; the BFS loop surfaces the fault.
         return;
       }
       bool inserted = false;
-      std::size_t index =
-          tuples.Intern(scratch.arena.data() + c.offset, c.hash, &inserted);
+      std::size_t index = tuples.Intern(block.arena.data() + c.offset,
+                                        c.count, c.hash, &inserted);
       if (inserted) {
         parent.push_back(head);
         incoming.push_back(BasicRemBlock{mask, label, c.condition});
@@ -880,11 +898,14 @@ Result<KRemDefinabilityResult> CheckKRemDense(
         if (options.cancel != nullptr && options.cancel->Expired()) {
           return options.cancel->Check();
         }
-        generator.Generate(tuples.TupleAt(head), mask, label, &scratch);
-        if (scratch.expired) {
+        // Generate reads the head's run to completion before the merge
+        // interns anything, so arena growth cannot invalidate it.
+        const auto& block = layout.Generate(
+            tuples.RunAt(head), tuples.LengthAt(head), mask, label);
+        if (block.expired) {
           return options.cancel->Check();
         }
-        merge_block(mask, label, head);
+        merge_block(block, mask, label, head);
       }
     }
     head++;
@@ -911,215 +932,6 @@ Result<KRemDefinabilityResult> CheckKRemDense(
   }
 
   // Reconstruct one witness per pair by walking parent links.
-  result.verdict = DefinabilityVerdict::kDefinable;
-  for (const auto& [p, q] : pairs) {
-    std::size_t index =
-        pair_solution[static_cast<std::uint64_t>(p) * n + q];
-    KRemWitness witness;
-    witness.from = p;
-    witness.to = q;
-    for (std::size_t at = index; at != 0; at = parent[at]) {
-      witness.blocks.push_back(incoming[at]);
-    }
-    std::reverse(witness.blocks.begin(), witness.blocks.end());
-    result.witnesses.push_back(std::move(witness));
-  }
-  return result;
-}
-
-/// The frontier-streaming BFS over the sparse tuple store: same canonical
-/// exploration order and interning semantics as CheckKRemDense, but no
-/// allocation is ever proportional to n² — tuples are sorted entry lists
-/// and acceptance probes the pair map entry by entry instead of building
-/// an n²-bit projection scratch. Walks successors in the reference shape;
-/// `engine` is ignored.
-template <typename Rel>
-Result<KRemDefinabilityResult> CheckKRemSparseFrontier(
-    const DataGraph& graph, const Rel& relation, std::size_t k,
-    const KRemDefinabilityOptions& options) {
-  KRemDefinabilityResult result;
-  std::vector<std::pair<NodeId, NodeId>> pairs = relation.Pairs();
-  if (pairs.empty()) {
-    result.verdict = DefinabilityVerdict::kDefinable;
-    return result;
-  }
-
-  GQD_ASSIGN_OR_RETURN(AssignmentGraph ag,
-                       AssignmentGraph::Build(graph, k, options.budget));
-  std::size_t n = graph.NumNodes();
-  SparseSuccessorGenerator generator(ag, options.cancel);
-
-  SparseTupleStore tuples(options.budget);
-  std::vector<std::size_t> parent;
-  std::vector<BasicRemBlock> incoming;
-
-  constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
-  std::unordered_map<std::uint64_t, std::size_t> pair_solution;
-  for (const auto& [p, q] : pairs) {
-    pair_solution[static_cast<std::uint64_t>(p) * n + q] = kUnsolved;
-  }
-  std::size_t unsolved = pairs.size();
-
-  // Safety and acceptance in one streaming pass over the entry list: every
-  // (v', σ) ∈ Q_i needs ⟨v_i, v'⟩ ∈ S, and a safe tuple then marks each
-  // still-unsolved ⟨v_i, v'⟩ it contains directly in the pair map.
-  auto process_tuple = [&](std::size_t index) {
-    const std::uint64_t* entries = tuples.EntriesAt(index);
-    std::size_t count = tuples.CountAt(index);
-    for (std::size_t e = 0; e < count; e++) {
-      NodeId i = static_cast<NodeId>(entries[e] >> 32);
-      NodeId v = ag.NodeOf(static_cast<AgState>(entries[e]));
-      if (!relation.Test(i, v)) {
-        return;  // unsafe: this tuple accepts no pair
-      }
-    }
-    for (std::size_t e = 0; e < count && unsolved > 0; e++) {
-      NodeId i = static_cast<NodeId>(entries[e] >> 32);
-      NodeId v = ag.NodeOf(static_cast<AgState>(entries[e]));
-      auto it = pair_solution.find(static_cast<std::uint64_t>(i) * n + v);
-      if (it != pair_solution.end() && it->second == kUnsolved) {
-        it->second = index;
-        unsolved--;
-      }
-    }
-  };
-
-  // Initial tuple: Q_i = {(v_i, ⊥^k)}. Node indices increase, so the entry
-  // list is born sorted.
-  {
-    GQD_TRACE_SPAN(span, "krem.arena_init");
-    GQD_TRACE_SPAN_ATTR(span, "entries", n);
-    std::vector<std::uint64_t> initial;
-    initial.reserve(n);
-    for (NodeId v = 0; v < n; v++) {
-      initial.push_back(PackEntry(v, ag.InitialState(v)));
-    }
-    bool inserted = false;
-    tuples.Intern(initial.data(), initial.size(),
-                  HashTupleWords(initial.data(), initial.size()), &inserted);
-    parent.push_back(kUnsolved);
-    incoming.push_back(BasicRemBlock{});
-    process_tuple(0);
-  }
-
-  SparseBlockScratch scratch;
-  generator.InitScratch(&scratch);
-
-  auto merge_block = [&](std::uint32_t mask, LabelId label,
-                         std::size_t head) {
-    for (const SparseCandidate& c : scratch.candidates) {
-      if (tuples.fault()) {
-        return;
-      }
-      bool inserted = false;
-      std::size_t index = tuples.Intern(scratch.arena.data() + c.offset,
-                                        c.count, c.hash, &inserted);
-      if (inserted) {
-        parent.push_back(head);
-        incoming.push_back(BasicRemBlock{mask, label, c.condition});
-        process_tuple(index);
-        if (unsolved == 0) {
-          return;
-        }
-      }
-    }
-  };
-
-  auto depth_of = [&](std::size_t index) {
-    std::size_t d = 0;
-    for (std::size_t at = index; at != 0; at = parent[at]) {
-      d++;
-    }
-    return d;
-  };
-  auto exhausted_result = [&](std::size_t at) {
-    result.verdict = DefinabilityVerdict::kBudgetExhausted;
-    result.tuples_explored = tuples.size();
-    result.partial =
-        PartialProgress{tuples.size(), depth_of(at),
-                        options.budget->bytes_peak(), "krem-bfs"};
-    return result;
-  };
-  auto injected_fault = [] {
-    return Status::ResourceExhausted(
-        "injected tuple-store growth failure (failpoint krem.arena.grow)");
-  };
-
-  std::optional<Span> bfs_span(std::in_place, "krem.bfs");
-  std::size_t bfs_generation = 0;
-  std::size_t generation_end = tuples.size();
-  std::optional<Span> gen_span;
-  auto advance_generation_span = [&](std::size_t at_head) {
-    if (Tracer::Current() == nullptr) {
-      return;
-    }
-    if (gen_span.has_value() && at_head < generation_end) {
-      return;
-    }
-    if (gen_span.has_value()) {
-      gen_span->AddAttr("tuples", tuples.size());
-      gen_span.reset();
-      bfs_generation++;
-      generation_end = tuples.size();
-    }
-    gen_span.emplace("krem.bfs_generation");
-    gen_span->AddAttr("generation", bfs_generation);
-  };
-
-  std::size_t head = 0;
-  while (head < tuples.size() && unsolved > 0) {
-    if (tuples.fault()) {
-      return injected_fault();
-    }
-    if (options.budget != nullptr && options.budget->Exhausted()) {
-      return exhausted_result(head);
-    }
-    if (tuples.size() > options.max_tuples) {
-      result.verdict = DefinabilityVerdict::kBudgetExhausted;
-      result.tuples_explored = tuples.size();
-      return result;
-    }
-    advance_generation_span(head);
-    for (std::uint32_t mask = 0;
-         mask < ag.num_store_masks() && unsolved > 0; mask++) {
-      for (LabelId label = 0; label < ag.num_labels() && unsolved > 0;
-           label++) {
-        if (options.cancel != nullptr && options.cancel->Expired()) {
-          return options.cancel->Check();
-        }
-        // Generate reads the head's entries to completion before the merge
-        // interns anything, so arena growth cannot invalidate them.
-        generator.Generate(tuples.EntriesAt(head), tuples.CountAt(head),
-                           mask, label, &scratch);
-        if (scratch.expired) {
-          return options.cancel->Check();
-        }
-        merge_block(mask, label, head);
-      }
-    }
-    head++;
-  }
-
-  if (gen_span.has_value()) {
-    gen_span->AddAttr("tuples", tuples.size());
-    gen_span.reset();
-  }
-  bfs_span->AddAttr("tuples_explored", tuples.size());
-  bfs_span->AddAttr("frontier_depth", bfs_generation);
-  if (options.budget != nullptr) {
-    bfs_span->AddAttr("bytes_peak", options.budget->bytes_peak());
-  }
-  bfs_span.reset();
-
-  if (tuples.fault()) {
-    return injected_fault();
-  }
-  result.tuples_explored = tuples.size();
-  if (unsolved > 0) {
-    result.verdict = DefinabilityVerdict::kNotDefinable;
-    return result;
-  }
-
   result.verdict = DefinabilityVerdict::kDefinable;
   for (const auto& [p, q] : pairs) {
     std::size_t index =
@@ -1169,9 +981,9 @@ Result<KRemDefinabilityResult> CheckKRemDispatch(
                 : KRemTupleStore::kSparseFrontier;
   }
   if (store == KRemTupleStore::kDense) {
-    return CheckKRemDense(graph, relation, k, options);
+    return CheckKRemBfs<DenseTuples>(graph, relation, k, options);
   }
-  return CheckKRemSparseFrontier(graph, relation, k, options);
+  return CheckKRemBfs<SparseTuples>(graph, relation, k, options);
 }
 
 }  // namespace

@@ -60,12 +60,13 @@ enum class KRemEngine {
   kReference,
 };
 
-/// How the BFS stores macro tuples. Both stores intern tuples semantically
-/// (two tuples are equal iff their state *sets* are), explore them in the
-/// same canonical order, and produce identical verdicts, witnesses and
-/// tuples_explored — they differ only in memory shape and in how budget
-/// bytes are charged (each charges its actual allocation, so byte-budget
-/// trip points are store-specific).
+/// How the BFS lays out macro tuples. One BFS driver and one interner
+/// serve both layouts: tuples are interned semantically (two tuples are
+/// equal iff their state *sets* are), explored in the same canonical order,
+/// and verdicts, witnesses and tuples_explored are identical. The stores
+/// differ only in tuple layout, and with it successor generation and the
+/// bytes charged (each charges its actual allocation, so byte-budget trip
+/// points are store-specific).
 enum class KRemTupleStore {
   /// kDense while one flat tuple fits kDenseTupleBytesCap, else
   /// kSparseFrontier. The default.

@@ -145,35 +145,45 @@ struct KRemInstance {
 
 TEST_F(ChaosTest, KRemArenaGrowFailsCleanlyAndRecovers) {
   KRemInstance instance;
-  auto baseline = CheckKRemDefinability(instance.graph, instance.relation, 2);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  // Both tuple stores share one interner and its growth path.
+  for (KRemTupleStore store :
+       {KRemTupleStore::kAuto, KRemTupleStore::kSparseFrontier}) {
+    SCOPED_TRACE(static_cast<int>(store));
+    KRemDefinabilityOptions options;
+    options.tuple_store = store;
+    auto baseline =
+        CheckKRemDefinability(instance.graph, instance.relation, 2, options);
+    ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-  std::uint64_t fired_before = FiredCount("krem.arena.grow");
-  Arm("krem.arena.grow:fail-once");
-  auto faulted = CheckKRemDefinability(instance.graph, instance.relation, 2);
-  EXPECT_GT(FiredCount("krem.arena.grow"), fired_before)
-      << "instance too small to grow the tuple store";
-  ASSERT_FALSE(faulted.ok());
-  EXPECT_EQ(faulted.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(faulted.status().message().find("krem.arena.grow"),
-            std::string::npos)
-      << faulted.status();
+    std::uint64_t fired_before = FiredCount("krem.arena.grow");
+    Arm("krem.arena.grow:fail-once");
+    auto faulted =
+        CheckKRemDefinability(instance.graph, instance.relation, 2, options);
+    EXPECT_GT(FiredCount("krem.arena.grow"), fired_before)
+        << "instance too small to grow the tuple store";
+    ASSERT_FALSE(faulted.ok());
+    EXPECT_EQ(faulted.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(faulted.status().message().find("krem.arena.grow"),
+              std::string::npos)
+        << faulted.status();
 
-  FailpointRegistry::Instance().Reset();
-  auto retried = CheckKRemDefinability(instance.graph, instance.relation, 2);
-  ASSERT_TRUE(retried.ok()) << retried.status();
-  EXPECT_EQ(retried.value().verdict, baseline.value().verdict);
-  EXPECT_EQ(retried.value().tuples_explored,
-            baseline.value().tuples_explored);
-  ASSERT_EQ(retried.value().witnesses.size(),
-            baseline.value().witnesses.size());
-  for (std::size_t i = 0; i < retried.value().witnesses.size(); i++) {
-    EXPECT_EQ(retried.value().witnesses[i].from,
-              baseline.value().witnesses[i].from);
-    EXPECT_EQ(retried.value().witnesses[i].to,
-              baseline.value().witnesses[i].to);
-    EXPECT_EQ(retried.value().witnesses[i].blocks.size(),
-              baseline.value().witnesses[i].blocks.size());
+    FailpointRegistry::Instance().Reset();
+    auto retried =
+        CheckKRemDefinability(instance.graph, instance.relation, 2, options);
+    ASSERT_TRUE(retried.ok()) << retried.status();
+    EXPECT_EQ(retried.value().verdict, baseline.value().verdict);
+    EXPECT_EQ(retried.value().tuples_explored,
+              baseline.value().tuples_explored);
+    ASSERT_EQ(retried.value().witnesses.size(),
+              baseline.value().witnesses.size());
+    for (std::size_t i = 0; i < retried.value().witnesses.size(); i++) {
+      EXPECT_EQ(retried.value().witnesses[i].from,
+                baseline.value().witnesses[i].from);
+      EXPECT_EQ(retried.value().witnesses[i].to,
+                baseline.value().witnesses[i].to);
+      EXPECT_EQ(retried.value().witnesses[i].blocks.size(),
+                baseline.value().witnesses[i].blocks.size());
+    }
   }
 }
 
@@ -812,6 +822,19 @@ TEST(ResourceBudgetTest, KRemByteBudgetStopsCleanlyOnBenchWorkload) {
   // Coarse accounting may overshoot by one growth step, not by gigabytes.
   EXPECT_LT(partial.bytes_peak, 4 * kByteCap);
   EXPECT_FALSE(PartialProgressToString(partial).empty());
+
+  // The sparse frontier store stops through the same exit. Its tuple count
+  // at the trip point is store-specific: it charges each tuple its entry
+  // list plus an offset instead of a fixed-width bitset.
+  ResourceBudget sparse_budget(kByteCap, 0);
+  krem_options.budget = &sparse_budget;
+  krem_options.tuple_store = KRemTupleStore::kSparseFrontier;
+  auto sparse = CheckKRemDefinability(g, s, 2, krem_options);
+  ASSERT_TRUE(sparse.ok()) << sparse.status();
+  EXPECT_EQ(sparse.value().verdict, DefinabilityVerdict::kBudgetExhausted);
+  ASSERT_TRUE(sparse.value().partial.has_value());
+  EXPECT_EQ(sparse.value().partial->stage, "krem-bfs");
+  EXPECT_LT(sparse.value().partial->bytes_peak, 4 * kByteCap);
 }
 
 TEST(ResourceBudgetTest, ReeClosureReportsPartialProgress) {

@@ -276,7 +276,8 @@ TEST(Deadline, EvalReturnsDeadlineExceeded) {
 TEST(Deadline, KRemCheckerStopsWithinGrace) {
   // This instance runs for minutes unconstrained (the macro-tuple BFS on a
   // 12-node, 2-label, 6-value graph with k=3 explores an enormous space);
-  // with a 100 ms deadline it must come back almost immediately.
+  // with a 100 ms deadline it must come back almost immediately, on either
+  // tuple store.
   RandomGraphOptions options;
   options.num_nodes = 12;
   options.num_labels = 2;
@@ -285,17 +286,22 @@ TEST(Deadline, KRemCheckerStopsWithinGrace) {
   options.seed = 7;
   DataGraph g = RandomDataGraph(options);
   BinaryRelation s = RandomRelation(g.NumNodes(), 30, 11);
-  CancelToken token(std::chrono::milliseconds(100));
-  KRemDefinabilityOptions check_options;
-  check_options.max_tuples = 100'000'000;
-  check_options.cancel = &token;
-  auto start = Clock::now();
-  auto result = CheckKRemDefinability(g, s, 3, check_options);
-  double elapsed_ms = MsSince(start);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  // Deadline 100 ms + generous grace for slow CI machines.
-  EXPECT_LT(elapsed_ms, 2000.0);
+  for (KRemTupleStore store :
+       {KRemTupleStore::kAuto, KRemTupleStore::kSparseFrontier}) {
+    SCOPED_TRACE(static_cast<int>(store));
+    CancelToken token(std::chrono::milliseconds(100));
+    KRemDefinabilityOptions check_options;
+    check_options.max_tuples = 100'000'000;
+    check_options.cancel = &token;
+    check_options.tuple_store = store;
+    auto start = Clock::now();
+    auto result = CheckKRemDefinability(g, s, 3, check_options);
+    double elapsed_ms = MsSince(start);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+    // Deadline 100 ms + generous grace for slow CI machines.
+    EXPECT_LT(elapsed_ms, 2000.0);
+  }
 }
 
 TEST(Deadline, ReeCheckerStopsWithinGrace) {
