@@ -1,6 +1,7 @@
 #include "definability/ucrdpq_definability.h"
 
 #include <cassert>
+#include <cstdint>
 
 #include "common/failpoint.h"
 #include "obs/trace.h"
@@ -38,33 +39,39 @@ bool BuildPins(const NodeTuple& source, const NodeTuple& image,
   return true;
 }
 
-}  // namespace
+/// How the seeds of one check ended (ucrdpq.search span attributes).
+struct SeedCounts {
+  std::size_t pruned = 0;    ///< a pinned value is absent from the base
+  std::size_t wiped = 0;     ///< propagating the pins wiped a domain
+  std::size_t searched = 0;  ///< reached the backtracking search
+};
 
-Result<UcrdpqDefinabilityResult> CheckUcrdpqDefinability(
-    const DataGraph& graph, const TupleRelation& relation,
-    const UcrdpqDefinabilityOptions& options) {
-  std::size_t n = graph.NumNodes();
-  UcrdpqDefinabilityResult result;
-  if (relation.empty()) {
-    // Vacuously preserved by every homomorphism; definable (e.g. by a
-    // CRDPQ with an unsatisfiable atom such as x -(eps)≠-> x... any query
-    // with empty answer works).
-    result.verdict = DefinabilityVerdict::kDefinable;
-    return result;
-  }
+/// Accounted bytes of the prepared homomorphism CSP of an n-node graph
+/// with `constraints` constraints: each constraint's allowed matrix and
+/// support rows, the build's image-pair matrices (one per label plus two
+/// for data values), and three domain vectors (the CSP's own, the
+/// propagated base and the per-seed copy).
+std::uint64_t HomomorphismCspBytes(std::size_t n, std::size_t labels,
+                                   std::size_t constraints) {
+  std::uint64_t word = sizeof(std::uint64_t);
+  std::uint64_t domains_bytes = std::uint64_t{n} * ((n + 63) / 64) * word;
+  std::uint64_t matrix_bytes = (std::uint64_t{n} * n + 63) / 64 * word;
+  return (constraints + labels + 2) * matrix_bytes +
+         CspSolver::SupportRowBytes(constraints, n) + 3 * domains_bytes;
+}
 
-  GQD_TRACE_SPAN(search_span, "ucrdpq.search");
-  GQD_TRACE_SPAN_ATTR(search_span, "tuples", relation.size());
-  GQD_TRACE_SPAN_ATTR(search_span, "arity", relation.arity());
-  // Build the homomorphism CSP once; each seed re-pins a copy.
-  Csp base_csp;
-  {
-    GQD_TRACE_SPAN(build_span, "ucrdpq.build_csp");
-    base_csp = BuildHomomorphismCsp(graph);
-    GQD_TRACE_SPAN_ATTR(build_span, "variables", base_csp.num_variables);
-    GQD_TRACE_SPAN_ATTR(build_span, "constraints", base_csp.constraints.size());
-  }
+/// The seed loop of Lemma 34: for each t ∈ S and each t' ∉ S, pin
+/// h(t) = t' on a copy of the base domains, propagate from the pinned
+/// variables and search. Sets result->verdict, or returns an error.
+Status SearchSeeds(const DataGraph& graph, const TupleRelation& relation,
+                   const UcrdpqDefinabilityOptions& options,
+                   CspSolver* solver, const std::vector<DynamicBitset>& base,
+                   UcrdpqDefinabilityResult* result, SeedCounts* counts) {
+  const std::size_t n = graph.NumNodes();
+  const bool use_ac3 = options.csp.use_ac3;
   std::vector<std::pair<NodeId, NodeId>> pins;
+  std::vector<std::size_t> pinned_vars;
+  std::vector<DynamicBitset> domains;
   for (const NodeTuple& source : relation.tuples()) {
     NodeTuple image(relation.arity(), 0);
     do {
@@ -83,52 +90,130 @@ Result<UcrdpqDefinabilityResult> CheckUcrdpqDefinability(
         return Status::ResourceExhausted(
             "injected seeded-search failure (failpoint ucrdpq.search)");
       }
-      result.seeds_tried++;
-      GQD_TRACE_SPAN(seed_span, "ucrdpq.seed");
-      GQD_TRACE_SPAN_ATTR(seed_span, "seed", result.seeds_tried);
-      // A pin wipes a domain exactly when the base domain already lacks the
-      // pinned value, so probe the base CSP before paying for its copy.
-      // Counted as a tried seed either way — seeds_tried is pinned by the
-      // differential tests.
-      bool wiped = false;
+      // Counted as a tried seed however it ends — seeds_tried is pinned by
+      // the differential tests.
+      result->seeds_tried++;
+      // A pin wipes a domain at once exactly when the base lacks the pinned
+      // value, so probe the base before copying it.
+      bool absent = false;
       for (const auto& [node, pinned] : pins) {
-        if (!base_csp.domains[node].Test(pinned)) {
-          wiped = true;
+        if (!base[node].Test(pinned)) {
+          absent = true;
           break;
         }
       }
-      if (wiped) {
+      if (absent) {
+        counts->pruned++;
         continue;
       }
-      Csp csp = base_csp;
+      domains = base;
+      pinned_vars.clear();
       for (const auto& [node, pinned] : pins) {
-        csp.Pin(node, pinned);
+        domains[node].Clear();
+        domains[node].Set(pinned);
+        pinned_vars.push_back(node);
       }
-      auto solved = SolveCsp(csp, options.csp, &result.csp_stats);
+      if (use_ac3 &&
+          !solver->Propagate(&domains, pinned_vars, &result->csp_stats)) {
+        counts->wiped++;
+        continue;
+      }
+      counts->searched++;
+      auto solved = solver->Solve(domains, options.csp, &result->csp_stats);
       if (!solved.ok()) {
         if (solved.status().code() == StatusCode::kResourceExhausted) {
-          result.verdict = DefinabilityVerdict::kBudgetExhausted;
+          result->verdict = DefinabilityVerdict::kBudgetExhausted;
           if (options.csp.budget != nullptr &&
               options.csp.budget->Exhausted()) {
-            result.partial = PartialProgress{
-                result.csp_stats.nodes_expanded, result.seeds_tried,
+            result->partial = PartialProgress{
+                result->csp_stats.nodes_expanded, result->seeds_tried,
                 options.csp.budget->bytes_peak(), "ucrdpq-csp"};
           }
-          return result;
+          return Status::OK();
         }
         return solved.status();
       }
       if (solved.value().has_value()) {
         NodeMapping mapping(solved.value()->begin(), solved.value()->end());
         assert(IsDataGraphHomomorphism(graph, mapping));
-        result.verdict = DefinabilityVerdict::kNotDefinable;
-        result.violating_homomorphism = std::move(mapping);
-        result.violated_tuple = source;
-        return result;
+        result->verdict = DefinabilityVerdict::kNotDefinable;
+        result->violating_homomorphism = std::move(mapping);
+        result->violated_tuple = source;
+        return Status::OK();
       }
     } while (NextTuple(&image, n));
   }
-  result.verdict = DefinabilityVerdict::kDefinable;
+  result->verdict = DefinabilityVerdict::kDefinable;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<UcrdpqDefinabilityResult> CheckUcrdpqDefinability(
+    const DataGraph& graph, const TupleRelation& relation,
+    const UcrdpqDefinabilityOptions& options) {
+  std::size_t n = graph.NumNodes();
+  UcrdpqDefinabilityResult result;
+  if (relation.empty()) {
+    // Vacuously preserved by every homomorphism; definable (e.g. by a
+    // CRDPQ with an unsatisfiable atom such as x -(eps)≠-> x... any query
+    // with empty answer works).
+    result.verdict = DefinabilityVerdict::kDefinable;
+    return result;
+  }
+
+  GQD_TRACE_SPAN(search_span, "ucrdpq.search");
+  // Charge each allocation before making it; a byte cap that cannot hold
+  // the CSP stops the check before it is built.
+  const ResourceBudget* budget = options.csp.budget;
+  auto over_budget = [&](std::uint64_t bytes) {
+    if (budget == nullptr) {
+      return false;
+    }
+    budget->ChargeBytes(static_cast<std::int64_t>(bytes));
+    if (!budget->Exhausted()) {
+      return false;
+    }
+    result.verdict = DefinabilityVerdict::kBudgetExhausted;
+    result.partial = PartialProgress{0, 0, budget->bytes_peak(), "ucrdpq-csp"};
+    return true;
+  };
+  // Build and prepare the homomorphism CSP once, and make its domains
+  // arc-consistent once; each seed pins a copy of those domains.
+  Csp csp;
+  std::optional<CspSolver> solver;
+  std::vector<DynamicBitset> base;
+  {
+    GQD_TRACE_SPAN(build_span, "ucrdpq.build_csp");
+    if (over_budget(n * ((n + 63) / 64) * sizeof(std::uint64_t))) {
+      return result;
+    }
+    BinaryRelation reach = Reachability(graph);
+    std::size_t constraints = reach.Count() - n;
+    GQD_TRACE_SPAN_ATTR(build_span, "variables", n);
+    GQD_TRACE_SPAN_ATTR(build_span, "constraints", constraints);
+    if (over_budget(
+            HomomorphismCspBytes(n, graph.NumLabels(), constraints))) {
+      return result;
+    }
+    csp = BuildHomomorphismCsp(graph, reach);
+    solver.emplace(csp);
+    base = csp.domains;
+    // The identity is a homomorphism, so the base never wipes out.
+    if (options.csp.use_ac3) {
+      bool consistent = solver->PropagateAll(&base, &result.csp_stats);
+      assert(consistent);
+      (void)consistent;
+    }
+  }
+  SeedCounts counts;
+  Status status = SearchSeeds(graph, relation, options, &*solver, base,
+                              &result, &counts);
+  GQD_TRACE_SPAN_ATTR(search_span, "seeds_tried", result.seeds_tried);
+  GQD_TRACE_SPAN_ATTR(search_span, "seeds_pruned", counts.pruned);
+  GQD_TRACE_SPAN_ATTR(search_span, "seeds_wiped", counts.wiped);
+  GQD_TRACE_SPAN_ATTR(search_span, "seeds_searched", counts.searched);
+  GQD_RETURN_NOT_OK(status);
   return result;
 }
 

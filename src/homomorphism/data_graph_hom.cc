@@ -43,14 +43,17 @@ bool IsDataGraphHomomorphism(const DataGraph& graph,
 }
 
 Csp BuildHomomorphismCsp(const DataGraph& graph) {
+  return BuildHomomorphismCsp(graph, Reachability(graph));
+}
+
+Csp BuildHomomorphismCsp(const DataGraph& graph, const BinaryRelation& reach) {
   std::size_t n = graph.NumNodes();
   Csp csp = Csp::Full(n, n);
-  BinaryRelation reach = Reachability(graph);
 
   // Per ordered node pair (p, q), the allowed image pairs (x, y). We only
-  // materialize a constraint when (p, q) is actually constrained: some edge
-  // p -a-> q exists, or q is reachable from p (p ≠ q). Unary constraints
-  // (self-loops, p == q) are folded into the variable domains.
+  // materialize a constraint when (p, q) is actually constrained: q is
+  // reachable from p (p ≠ q), which every edge p -a-> q implies. Unary
+  // constraints (self-loops, p == q) are folded into the variable domains.
   for (NodeId p = 0; p < n; p++) {
     // Unary: self-loop labels must be preserved.
     for (const auto& [label, q0] : graph.OutEdges(p)) {
@@ -64,43 +67,32 @@ Csp BuildHomomorphismCsp(const DataGraph& graph) {
       }
     }
   }
+  // Image-pair matrices over (x, y), bit x·n + y: one per label (x -l-> y
+  // is an edge) and one each for equal and unequal data values. A
+  // constraint is the AND of the matrices its source pair demands.
+  std::vector<DynamicBitset> edge_pairs(graph.NumLabels(),
+                                        DynamicBitset(n * n));
+  for (const Edge& e : graph.edges()) {
+    edge_pairs[e.label].Set(e.from * n + e.to);
+  }
+  DynamicBitset same_value(n * n);
+  DynamicBitset other_value(n * n);
+  for (NodeId x = 0; x < n; x++) {
+    for (NodeId y = 0; y < n; y++) {
+      bool same = graph.DataValueOf(x) == graph.DataValueOf(y);
+      (same ? same_value : other_value).Set(x * n + y);
+    }
+  }
   for (NodeId p = 0; p < n; p++) {
     for (NodeId q = 0; q < n; q++) {
-      if (p == q) {
+      if (p == q || !reach.Test(p, q)) {
         continue;
       }
-      // Labels on edges p -> q.
-      std::vector<LabelId> labels;
+      bool same_source = graph.DataValueOf(p) == graph.DataValueOf(q);
+      DynamicBitset allowed = same_source ? same_value : other_value;
       for (const auto& [label, to] : graph.OutEdges(p)) {
         if (to == q) {
-          labels.push_back(label);
-        }
-      }
-      bool reachable = reach.Test(p, q);
-      if (labels.empty() && !reachable) {
-        continue;
-      }
-      DynamicBitset allowed(n * n);
-      bool same_source = graph.DataValueOf(p) == graph.DataValueOf(q);
-      for (NodeId x = 0; x < n; x++) {
-        for (NodeId y = 0; y < n; y++) {
-          bool ok = true;
-          for (LabelId label : labels) {
-            if (!graph.HasEdge(x, label, y)) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok && reachable) {
-            bool same_image =
-                graph.DataValueOf(x) == graph.DataValueOf(y);
-            if (same_source != same_image) {
-              ok = false;
-            }
-          }
-          if (ok) {
-            allowed.Set(x * n + y);
-          }
+          allowed &= edge_pairs[label];
         }
       }
       csp.AddConstraint(p, q, std::move(allowed));

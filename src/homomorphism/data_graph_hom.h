@@ -29,8 +29,12 @@ bool IsDataGraphHomomorphism(const DataGraph& graph,
                              const NodeMapping& mapping);
 
 /// Builds the CSP whose solutions are exactly the data-graph homomorphisms
-/// of `graph`.
+/// of `graph`: one constraint per ordered pair (p, q), p ≠ q, with q
+/// reachable from p — so |Reachability(graph)| − n constraints.
 Csp BuildHomomorphismCsp(const DataGraph& graph);
+
+/// Same, reusing a precomputed `reach` = Reachability(graph).
+Csp BuildHomomorphismCsp(const DataGraph& graph, const BinaryRelation& reach);
 
 /// Finds any homomorphism satisfying the given pins (h(node) = image).
 /// Returns nullopt when none exists.

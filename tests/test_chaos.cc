@@ -837,6 +837,51 @@ TEST(ResourceBudgetTest, KRemByteBudgetStopsCleanlyOnBenchWorkload) {
   EXPECT_LT(sparse.value().partial->bytes_peak, 4 * kByteCap);
 }
 
+TEST(ResourceBudgetTest, UcrdpqCspBuildRespectsByteBudget) {
+  // The homomorphism CSP is charged before it is allocated: one constraint
+  // of n² bits plus support rows per reachable pair. A cap that holds the
+  // reachability matrix but not the CSP stops the check at the build,
+  // before any seed and before any propagation.
+  DataGraph g = RandomDataGraph({.num_nodes = 40,
+                                 .num_labels = 2,
+                                 .num_data_values = 3,
+                                 .edge_percent = 10,
+                                 .seed = 3});
+  ASSERT_GT(Reachability(g).Count(), 400u);  // ≥ 360 constraints
+  BinaryRelation s = RandomRelation(g.NumNodes(), 5, 11);
+  auto unbudgeted = CheckUcrdpqDefinability(g, s);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status();
+  ASSERT_NE(unbudgeted.value().verdict, DefinabilityVerdict::kBudgetExhausted);
+  EXPECT_FALSE(unbudgeted.value().partial.has_value());
+
+  constexpr std::uint64_t kByteCap = 64 << 10;
+  ResourceBudget budget(kByteCap, 0);
+  UcrdpqDefinabilityOptions options;
+  options.csp.budget = &budget;
+  auto capped = CheckUcrdpqDefinability(g, s, options);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_EQ(capped.value().verdict, DefinabilityVerdict::kBudgetExhausted);
+  EXPECT_EQ(capped.value().seeds_tried, 0u);
+  EXPECT_EQ(capped.value().csp_stats.propagations, 0u);
+  ASSERT_TRUE(capped.value().partial.has_value());
+  EXPECT_EQ(capped.value().partial->stage, "ucrdpq-csp");
+  EXPECT_EQ(capped.value().partial->tuples_explored, 0u);
+  EXPECT_GT(capped.value().partial->bytes_peak, kByteCap);
+
+  // A cap that holds the CSP changes nothing.
+  constexpr std::uint64_t kRoomyCap = 64ull << 20;
+  ResourceBudget roomy(kRoomyCap, 0);
+  options.csp.budget = &roomy;
+  auto fits = CheckUcrdpqDefinability(g, s, options);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_EQ(fits.value().verdict, unbudgeted.value().verdict);
+  EXPECT_EQ(fits.value().seeds_tried, unbudgeted.value().seeds_tried);
+  EXPECT_EQ(fits.value().violated_tuple, unbudgeted.value().violated_tuple);
+  EXPECT_FALSE(fits.value().partial.has_value());
+  EXPECT_GT(roomy.bytes_peak(), kByteCap);
+  EXPECT_LT(roomy.bytes_peak(), kRoomyCap);
+}
+
 TEST(ResourceBudgetTest, ReeClosureReportsPartialProgress) {
   // A relation whose monoid is far larger than a 1-tuple budget allows.
   RandomGraphOptions options;

@@ -8,7 +8,8 @@
 // agree not just on the verdict but on the exact exploration cost and the
 // exact synthesized witnesses — which is what these tests pin down over
 // randomized small instances, alongside bit-identical results across tuple
-// stores, relation backends and storage backends.
+// stores, relation backends and storage backends. The UCRDPQ checker is
+// also held against a brute-force homomorphism oracle.
 
 #include <chrono>
 
@@ -538,6 +539,111 @@ TEST(StorageDiff, ReeVerdictsIdenticalAcrossBackends) {
           << "seed " << seed;
     }
   }
+}
+
+/// Lexicographic successor of a tuple over V^k; false after the last one.
+bool NextTuple(std::vector<NodeId>* tuple, std::size_t n) {
+  for (std::size_t i = tuple->size(); i-- > 0;) {
+    if (++(*tuple)[i] < n) {
+      return true;
+    }
+    (*tuple)[i] = 0;
+  }
+  return false;
+}
+
+NodeTuple Apply(const NodeMapping& h, const NodeTuple& t) {
+  NodeTuple image(t.size());
+  for (std::size_t i = 0; i < t.size(); i++) {
+    image[i] = h[t[i]];
+  }
+  return image;
+}
+
+/// Every map V → V that passes Definition 33, by exhaustive enumeration
+/// (n^n candidates): no CSP code involved.
+std::vector<NodeMapping> BruteForceHomomorphisms(const DataGraph& graph) {
+  std::size_t n = graph.NumNodes();
+  std::vector<NodeMapping> homs;
+  NodeMapping mapping(n, 0);
+  do {
+    if (IsDataGraphHomomorphism(graph, mapping)) {
+      homs.push_back(mapping);
+    }
+  } while (NextTuple(&mapping, n));
+  return homs;
+}
+
+/// Lemma 34 by brute force: S is UCRDPQ-definable iff every homomorphism
+/// maps every tuple of S into S.
+bool BruteForceDefinable(const std::vector<NodeMapping>& homs,
+                         const TupleRelation& relation) {
+  for (const NodeMapping& h : homs) {
+    for (const NodeTuple& t : relation.tuples()) {
+      if (!relation.Contains(Apply(h, t))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(UcrdpqDiff, MatchesBruteForceHomomorphismOracle) {
+  // Random graphs with n ≤ 5, two labels and δ ≤ 3. Per graph and arity
+  // 1–3: a random relation (usually not definable) and the closure of a
+  // random tuple set under all homomorphisms (definable by Lemma 34).
+  std::size_t definable = 0;
+  std::size_t not_definable = 0;
+  for (std::uint64_t seed = 1; seed <= 48; seed++) {
+    std::size_t n = 2 + seed % 4;
+    DataGraph graph = RandomDataGraph(
+        {.num_nodes = n,
+         .num_labels = 2,
+         .num_data_values = 1 + seed % 3,
+         .edge_percent = static_cast<std::uint32_t>(20 + 5 * (seed % 6)),
+         .seed = seed});
+    std::vector<NodeMapping> homs = BruteForceHomomorphisms(graph);
+    SplitMix64 rng(seed * 131 + 5);
+    for (std::size_t arity = 1; arity <= 3; arity++) {
+      TupleRelation random(arity);
+      TupleRelation closed(arity);
+      std::size_t count = 1 + rng.NextBelow(4);
+      for (std::size_t i = 0; i < count; i++) {
+        NodeTuple t(arity);
+        for (NodeId& v : t) {
+          v = static_cast<NodeId>(rng.NextBelow(n));
+        }
+        random.Insert(t);
+        for (const NodeMapping& h : homs) {
+          closed.Insert(Apply(h, t));
+        }
+      }
+      for (const TupleRelation* relation : {&random, &closed}) {
+        bool expected = BruteForceDefinable(homs, *relation);
+        auto result = CheckUcrdpqDefinability(graph, *relation);
+        ASSERT_TRUE(result.ok()) << result.status();
+        const UcrdpqDefinabilityResult& r = result.value();
+        ASSERT_EQ(r.verdict, expected ? DefinabilityVerdict::kDefinable
+                                      : DefinabilityVerdict::kNotDefinable)
+            << "seed " << seed << " arity " << arity;
+        if (expected) {
+          definable++;
+          continue;
+        }
+        not_definable++;
+        ASSERT_TRUE(r.violating_homomorphism.has_value());
+        ASSERT_TRUE(r.violated_tuple.has_value());
+        EXPECT_TRUE(IsDataGraphHomomorphism(graph, *r.violating_homomorphism))
+            << "seed " << seed << " arity " << arity;
+        EXPECT_TRUE(relation->Contains(*r.violated_tuple));
+        EXPECT_FALSE(relation->Contains(
+            Apply(*r.violating_homomorphism, *r.violated_tuple)))
+            << "seed " << seed << " arity " << arity;
+      }
+    }
+  }
+  EXPECT_GT(definable, 60u);
+  EXPECT_GT(not_definable, 30u);
 }
 
 }  // namespace

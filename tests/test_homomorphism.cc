@@ -162,6 +162,143 @@ TEST(Csp, DeadlineCancelsMidSearch) {
   EXPECT_LT(elapsed_ms, 5000.0);
 }
 
+/// Oracle for the AC closure that shares no code with CspSolver: revise
+/// every constraint in both directions, one value pair at a time, until
+/// nothing changes. Returns false if a domain wiped out.
+bool NaiveArcConsistency(const Csp& csp, std::vector<DynamicBitset>* domains) {
+  std::size_t d = csp.domain_size;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const BinaryConstraint& c : csp.constraints) {
+      DynamicBitset& dom_a = (*domains)[c.var_a];
+      DynamicBitset& dom_b = (*domains)[c.var_b];
+      for (std::uint32_t a = 0; a < d; a++) {
+        bool supported = false;
+        for (std::uint32_t b = 0; b < d && !supported; b++) {
+          supported = dom_b.Test(b) && c.Allows(a, b, d);
+        }
+        if (dom_a.Test(a) && !supported) {
+          dom_a.Reset(a);
+          changed = true;
+        }
+      }
+      for (std::uint32_t b = 0; b < d; b++) {
+        bool supported = false;
+        for (std::uint32_t a = 0; a < d && !supported; a++) {
+          supported = dom_a.Test(a) && c.Allows(a, b, d);
+        }
+        if (dom_b.Test(b) && !supported) {
+          dom_b.Reset(b);
+          changed = true;
+        }
+      }
+    }
+  }
+  for (const DynamicBitset& domain : *domains) {
+    if (domain.None()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A random binary CSP; every fourth seed uses a domain wider than one
+/// 64-bit word so support rows span several words.
+Csp RandomBinaryCsp(std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::size_t variables = 3 + rng.NextBelow(6);
+  std::size_t domain = seed % 4 == 0 ? 65 + rng.NextBelow(80)
+                                     : 2 + rng.NextBelow(8);
+  Csp csp = Csp::Full(variables, domain);
+  for (std::size_t v = 0; v < variables; v++) {
+    for (std::size_t x = 0; x < domain; x++) {
+      if (rng.NextBool(15, 100)) {
+        csp.domains[v].Reset(x);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < variables; i++) {
+    for (std::size_t j = 0; j < variables; j++) {
+      if (i == j || !rng.NextBool(40, 100)) {
+        continue;
+      }
+      DynamicBitset allowed(domain * domain);
+      for (std::size_t bit = 0; bit < domain * domain; bit++) {
+        if (rng.NextBool(domain > 64 ? 4 : 55, 100)) {
+          allowed.Set(bit);
+        }
+      }
+      csp.AddConstraint(i, j, std::move(allowed));
+    }
+  }
+  return csp;
+}
+
+TEST(Csp, IncrementalPropagationMatchesFromScratch) {
+  // Propagating only from the pinned variables of an arc-consistent base
+  // must reach exactly the from-scratch AC closure of the pinned CSP.
+  std::size_t consistent_bases = 0;
+  std::size_t wiped = 0;
+  std::size_t survived = 0;
+  for (std::uint64_t seed = 1; seed <= 300; seed++) {
+    Csp csp = RandomBinaryCsp(seed);
+    CspSolver solver(csp);
+    std::vector<DynamicBitset> base = csp.domains;
+    std::vector<DynamicBitset> naive_base = csp.domains;
+    bool base_ok = solver.PropagateAll(&base, nullptr);
+    ASSERT_EQ(base_ok, NaiveArcConsistency(csp, &naive_base)) << seed;
+    if (!base_ok) {
+      continue;
+    }
+    ASSERT_EQ(base, naive_base) << seed;
+    consistent_bases++;
+    SplitMix64 rng(seed * 31 + 7);
+    for (int trial = 0; trial < 4; trial++) {
+      // Pin 1–3 variables to values their base domains still hold.
+      Csp pinned = csp;
+      std::vector<DynamicBitset> incremental = base;
+      std::vector<std::size_t> changed;
+      std::size_t pin_count = 1 + rng.NextBelow(3);
+      for (std::size_t p = 0; p < pin_count; p++) {
+        std::size_t var = rng.NextBelow(csp.num_variables);
+        std::vector<std::uint32_t> values;
+        for (std::size_t x = incremental[var].FindNext(0);
+             x < csp.domain_size; x = incremental[var].FindNext(x + 1)) {
+          values.push_back(static_cast<std::uint32_t>(x));
+        }
+        if (values.empty()) {
+          continue;  // an earlier pin of the same variable emptied it
+        }
+        std::uint32_t value = values[rng.NextBelow(values.size())];
+        pinned.Pin(var, value);
+        incremental[var] &= pinned.domains[var];
+        changed.push_back(var);
+      }
+      std::vector<DynamicBitset> scratch = pinned.domains;
+      bool scratch_ok = NaiveArcConsistency(pinned, &scratch);
+      bool incremental_ok = solver.Propagate(&incremental, changed, nullptr);
+      ASSERT_EQ(incremental_ok, scratch_ok) << seed << " trial " << trial;
+      if (scratch_ok) {
+        EXPECT_EQ(incremental, scratch) << seed << " trial " << trial;
+        survived++;
+      } else {
+        wiped++;
+      }
+      auto solved = SolveCsp(pinned);
+      auto all = EnumerateCspSolutions(pinned);
+      ASSERT_TRUE(solved.ok());
+      ASSERT_TRUE(all.ok());
+      EXPECT_EQ(solved.value().has_value(), !all.value().empty())
+          << seed << " trial " << trial;
+    }
+  }
+  // The family must exercise both outcomes.
+  EXPECT_GT(consistent_bases, 100u);
+  EXPECT_GT(wiped, 20u);
+  EXPECT_GT(survived, 20u);
+}
+
 TEST(DataGraphHom, IdentityIsAlwaysHomomorphism) {
   DataGraph g = Figure1Graph();
   NodeMapping identity(g.NumNodes());

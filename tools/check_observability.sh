@@ -5,7 +5,7 @@
 #   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
 #   tools/check_observability.sh build [out-dir]
 #
-# 1. Runs a traced `gqd check` (frontier-parallel k-REM) and validates the
+# 1. Runs a traced `gqd check` (k-REM) and validates the
 #    Chrome trace-event JSON: schema of every event, stage totals present,
 #    and per-generation BFS spans summing to within 10% of the reported
 #    krem.bfs wall time.
