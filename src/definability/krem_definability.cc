@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/plan/kernel_dispatch.h"
@@ -757,17 +756,40 @@ Result<KRemDefinabilityResult> CheckKRemBfs(
   std::vector<BasicRemBlock> incoming;
 
   // Pair bookkeeping: which pairs of S still need a witness, and the tuple
-  // index at which each pair was first accepted.
+  // index at which each pair was first accepted. Both are flat arrays over
+  // the rank of a pair in `pairs`, which Pairs() returns row-major sorted:
+  // row p's pairs are ranks [row_begin[p], row_begin[p+1]), ordered by
+  // target, so a rank is one binary search within a row.
   constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
-  std::unordered_map<std::uint64_t, std::size_t> pair_solution;
-  for (const auto& [p, q] : pairs) {
-    pair_solution[static_cast<std::uint64_t>(p) * n + q] = kUnsolved;
+  std::vector<std::size_t> row_begin(n + 1, 0);
+  for (const auto& pair : pairs) {
+    row_begin[pair.first + 1]++;
   }
+  for (std::size_t p = 0; p < n; p++) {
+    row_begin[p + 1] += row_begin[p];
+  }
+  std::vector<std::size_t> pair_solution(pairs.size(), kUnsolved);
+  if (options.budget != nullptr) {
+    options.budget->ChargeBytes(static_cast<std::int64_t>(
+        (row_begin.size() + pair_solution.size()) * sizeof(std::size_t)));
+  }
+  auto rank_of = [&](std::size_t p, NodeId q) {
+    auto first = pairs.begin() + static_cast<std::ptrdiff_t>(row_begin[p]);
+    auto last = pairs.begin() + static_cast<std::ptrdiff_t>(row_begin[p + 1]);
+    auto it = std::lower_bound(
+        first, last, q,
+        [](const std::pair<NodeId, NodeId>& pair, NodeId target) {
+          return pair.second < target;
+        });
+    return it != last && it->second == q
+               ? static_cast<std::size_t>(it - pairs.begin())
+               : kUnsolved;
+  };
   std::size_t unsolved = pairs.size();
 
   // Safety and acceptance of one tuple, one entry walk each: every
   // (v', σ) ∈ Q_i must have ⟨v_i, v'⟩ ∈ S, and a safe tuple then marks
-  // each still-unsolved ⟨v_i, v'⟩ it contains directly in the pair map.
+  // each still-unsolved ⟨v_i, v'⟩ it contains by its rank.
   auto process_tuple = [&](std::size_t index) {
     const std::uint64_t* run = tuples.RunAt(index);
     std::size_t length = tuples.LengthAt(index);
@@ -779,10 +801,10 @@ Result<KRemDefinabilityResult> CheckKRemBfs(
       return;  // unsafe: this tuple accepts no pair
     }
     layout.ForEachEntry(run, length, [&](std::size_t i, AgState state) {
-      auto it = pair_solution.find(static_cast<std::uint64_t>(i) * n +
-                                   ag.NodeOf(state));
-      if (it != pair_solution.end() && it->second == kUnsolved) {
-        it->second = index;
+      // Safe, so ⟨v_i, v'⟩ ∈ S and rank_of finds it.
+      std::size_t rank = rank_of(i, ag.NodeOf(state));
+      if (rank != kUnsolved && pair_solution[rank] == kUnsolved) {
+        pair_solution[rank] = index;
         unsolved--;
       }
       return unsolved > 0;
@@ -933,13 +955,11 @@ Result<KRemDefinabilityResult> CheckKRemBfs(
 
   // Reconstruct one witness per pair by walking parent links.
   result.verdict = DefinabilityVerdict::kDefinable;
-  for (const auto& [p, q] : pairs) {
-    std::size_t index =
-        pair_solution[static_cast<std::uint64_t>(p) * n + q];
+  for (std::size_t rank = 0; rank < pairs.size(); rank++) {
     KRemWitness witness;
-    witness.from = p;
-    witness.to = q;
-    for (std::size_t at = index; at != 0; at = parent[at]) {
+    witness.from = pairs[rank].first;
+    witness.to = pairs[rank].second;
+    for (std::size_t at = pair_solution[rank]; at != 0; at = parent[at]) {
       witness.blocks.push_back(incoming[at]);
     }
     std::reverse(witness.blocks.begin(), witness.blocks.end());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <functional>
 #include <unordered_set>
 
 namespace gqd {
@@ -91,9 +92,7 @@ std::string DataGraph::NodeName(NodeId v) const {
 
 Result<NodeId> DataGraph::FindNode(std::string_view name) const {
   std::size_t n = NumNodes();
-  bool any_names =
-      frozen_ ? view_.name_offsets != nullptr : num_named_ > 0;
-  if (any_names) {
+  if (HasNodeNames()) {
     for (NodeId v = 0; v < n; v++) {
       if (RawNodeName(v) == name) {
         return v;
@@ -108,6 +107,54 @@ Result<NodeId> DataGraph::FindNode(std::string_view name) const {
     return id;
   }
   return Status::NotFound("no node named '" + std::string(name) + "'");
+}
+
+NodeNameIndex::NodeNameIndex(const DataGraph& graph) : graph_(graph) {
+  if (!graph.HasNodeNames()) {
+    return;
+  }
+  std::size_t n = graph.NumNodes();
+  std::size_t capacity = 16;
+  while (capacity < 2 * n) {
+    capacity *= 2;
+  }
+  slots_.assign(capacity, kEmpty);
+  std::size_t mask = capacity - 1;
+  std::hash<std::string_view> hash;
+  for (NodeId v = 0; v < n; v++) {
+    std::string_view name = graph.RawNodeName(v);
+    if (name.empty()) {
+      continue;
+    }
+    std::size_t pos = hash(name) & mask;
+    // The first node with a name keeps it, as in FindNode's scan.
+    while (slots_[pos] != kEmpty && graph.RawNodeName(slots_[pos]) != name) {
+      pos = (pos + 1) & mask;
+    }
+    if (slots_[pos] == kEmpty) {
+      slots_[pos] = v;
+    }
+  }
+}
+
+std::optional<NodeId> NodeNameIndex::Find(std::string_view name) const {
+  if (!slots_.empty()) {
+    std::size_t mask = slots_.size() - 1;
+    for (std::size_t pos = std::hash<std::string_view>()(name) & mask;
+         slots_[pos] != kEmpty; pos = (pos + 1) & mask) {
+      if (graph_.RawNodeName(slots_[pos]) == name) {
+        return slots_[pos];
+      }
+    }
+  }
+  // Without a table every node is anonymous; skipping RawNodeName then
+  // saves a cache miss per lookup on large generated graphs.
+  NodeId id = 0;
+  if (ParseAnonymousName(name, &id) && id < graph_.NumNodes() &&
+      (slots_.empty() || graph_.RawNodeName(id).empty())) {
+    return id;
+  }
+  return std::nullopt;
 }
 
 Status DataGraph::Validate() const {

@@ -23,6 +23,7 @@
 #define GQD_GRAPH_DATA_GRAPH_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -184,8 +185,15 @@ class DataGraph {
 
   /// Finds a node by display name. Accepts the synthesized "#<id>" form
   /// for anonymous nodes, so relation files can address nodes of generated
-  /// (nameless) graphs.
+  /// (nameless) graphs. A linear scan over the stored names; resolve many
+  /// names through a NodeNameIndex instead.
   Result<NodeId> FindNode(std::string_view name) const;
+
+  /// True when some node may carry a stored name (false guarantees that
+  /// every node is anonymous).
+  bool HasNodeNames() const {
+    return frozen_ ? view_.name_offsets != nullptr : num_named_ > 0;
+  }
 
   /// Validates internal invariants (edge endpoints in range, etc.).
   Status Validate() const;
@@ -201,13 +209,34 @@ class DataGraph {
   // Resident storage; unused (empty) in view mode.
   std::vector<ValueId> node_values_;
   std::vector<std::string> node_names_;  // "" when anonymous
-  std::size_t num_named_ = 0;            // lets FindNode skip all-anonymous scans
+  std::size_t num_named_ = 0;            // backs HasNodeNames on resident graphs
   std::vector<Edge> edges_;
   std::vector<std::vector<LabeledEdge>> out_edges_;
   std::vector<std::vector<LabeledEdge>> in_edges_;
   // View storage; all-null when resident.
   GraphView view_;
   bool frozen_ = false;
+};
+
+/// Resolves non-empty display names exactly as DataGraph::FindNode does (a
+/// stored name wins; "#<id>" addresses only an anonymous node) in O(1)
+/// expected time per lookup. The stored names are hashed once, at
+/// construction and only when the graph has any, so resolving m names
+/// costs O(m + n) where FindNode would cost O(m·n). The graph must outlive
+/// the index and must not gain nodes while it is in use.
+class NodeNameIndex {
+ public:
+  explicit NodeNameIndex(const DataGraph& graph);
+
+  /// The node `name` resolves to, or std::nullopt.
+  std::optional<NodeId> Find(std::string_view name) const;
+
+ private:
+  const DataGraph& graph_;
+  /// Open-addressed table of node ids keyed by stored name; kEmpty marks a
+  /// free slot. Empty when the graph has no stored names.
+  std::vector<NodeId> slots_;
+  static constexpr NodeId kEmpty = static_cast<NodeId>(-1);
 };
 
 }  // namespace gqd

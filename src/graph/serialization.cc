@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -13,19 +16,61 @@ namespace gqd {
 
 namespace {
 
-/// Splits a line into whitespace-separated tokens.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    tokens.push_back(token);
-  }
-  return tokens;
+/// The separators `operator>>` skips within a line in the "C" locale:
+/// ' ', '\t', '\v', '\f' and '\r' ('\n' ends the line first).
+bool IsTokenSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r' && c != '\n');
 }
 
-bool IsCommentOrBlank(const std::vector<std::string>& tokens) {
-  return tokens.empty() || tokens[0][0] == '#';
+/// One pass over line-oriented text: splits `text` into lines at '\n' (as
+/// std::getline does, so a missing final newline still ends a line) and
+/// each line into whitespace-separated tokens viewing `text` itself. Calls
+/// `fn(line_number, tokens)` for every line that is neither blank nor a
+/// `#` comment, with 1-based line numbers, and stops at the first error
+/// `fn` returns. The token vector is reused, so a parse allocates nothing
+/// per line.
+template <typename Fn>
+Status ForEachDirective(std::string_view text, Fn&& fn) {
+  std::vector<std::string_view> tokens;
+  std::size_t line_number = 0;
+  const char* at = text.data();
+  const char* const end = at + text.size();
+  while (at < end) {
+    const char* newline = static_cast<const char*>(
+        std::memchr(at, '\n', static_cast<std::size_t>(end - at)));
+    const char* line_end = newline != nullptr ? newline : end;
+    line_number++;
+    tokens.clear();
+    while (true) {
+      while (at < line_end && IsTokenSpace(*at)) {
+        at++;
+      }
+      if (at == line_end) {
+        break;
+      }
+      const char* token = at;
+      while (at < line_end && !IsTokenSpace(*at)) {
+        at++;
+      }
+      tokens.emplace_back(token, static_cast<std::size_t>(at - token));
+    }
+    at = line_end + (newline != nullptr ? 1 : 0);
+    if (tokens.empty() || tokens[0][0] == '#') {
+      continue;
+    }
+    GQD_RETURN_NOT_OK(fn(line_number, tokens));
+  }
+  return Status::OK();
+}
+
+Status LineError(std::size_t line_number, std::string_view message) {
+  return Status::InvalidArgument("line " + std::to_string(line_number) +
+                                 ": " + std::string(message));
+}
+
+Status UnknownNode(std::size_t line_number, std::string_view name) {
+  return LineError(line_number,
+                   "unknown node '" + std::string(name) + "'");
 }
 
 /// Streams the canonical `node`/`edge` text of `graph` line by line into
@@ -82,57 +127,42 @@ std::string FingerprintToHex(std::uint64_t fingerprint) {
 
 Result<DataGraph> ReadGraphText(const std::string& text) {
   DataGraph graph;
-  // Parse-local name index: FindNode is a linear scan, which would make
-  // edge resolution quadratic in the graph size; the map keeps a
-  // million-line parse linear. "#<id>" names (the synthesized anonymous
-  // form) still resolve through FindNode below.
-  std::unordered_map<std::string, NodeId> nodes_by_name;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_number = 0;
-  auto resolve = [&](const std::string& name) -> Result<NodeId> {
-    auto it = nodes_by_name.find(name);
-    if (it != nodes_by_name.end()) {
-      return it->second;
-    }
-    return graph.FindNode(name);
-  };
-  while (std::getline(is, line)) {
-    line_number++;
-    std::vector<std::string> tokens = Tokenize(line);
-    if (IsCommentOrBlank(tokens)) {
-      continue;
-    }
-    auto error = [&](const std::string& msg) {
-      return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": " + msg);
-    };
-    if (tokens[0] == "node") {
-      if (tokens.size() != 3) {
-        return error("expected: node <name> <data-value>");
-      }
-      if (nodes_by_name.count(tokens[1]) > 0) {
-        return error("duplicate node '" + tokens[1] + "'");
-      }
-      NodeId id = graph.AddNodeWithValue(tokens[2], tokens[1]);
-      nodes_by_name.emplace(tokens[1], id);
-    } else if (tokens[0] == "edge") {
-      if (tokens.size() != 4) {
-        return error("expected: edge <from> <label> <to>");
-      }
-      auto from = resolve(tokens[1]);
-      if (!from.ok()) {
-        return error("unknown node '" + tokens[1] + "'");
-      }
-      auto to = resolve(tokens[3]);
-      if (!to.ok()) {
-        return error("unknown node '" + tokens[3] + "'");
-      }
-      graph.AddEdgeByName(from.value(), tokens[2], to.value());
-    } else {
-      return error("unknown directive '" + tokens[0] + "'");
-    }
-  }
+  // Parse-local name index over views into `text`: every node line names
+  // its node, so the index resolves every edge endpoint FindNode could.
+  std::unordered_map<std::string_view, NodeId> nodes_by_name;
+  GQD_RETURN_NOT_OK(ForEachDirective(
+      text, [&](std::size_t line, const std::vector<std::string_view>& tokens)
+                -> Status {
+        if (tokens[0] == "node") {
+          if (tokens.size() != 3) {
+            return LineError(line, "expected: node <name> <data-value>");
+          }
+          if (nodes_by_name.count(tokens[1]) > 0) {
+            return LineError(line, "duplicate node '" +
+                                       std::string(tokens[1]) + "'");
+          }
+          nodes_by_name.emplace(tokens[1],
+                                graph.AddNodeWithValue(tokens[2], tokens[1]));
+          return Status::OK();
+        }
+        if (tokens[0] == "edge") {
+          if (tokens.size() != 4) {
+            return LineError(line, "expected: edge <from> <label> <to>");
+          }
+          auto from = nodes_by_name.find(tokens[1]);
+          if (from == nodes_by_name.end()) {
+            return UnknownNode(line, tokens[1]);
+          }
+          auto to = nodes_by_name.find(tokens[3]);
+          if (to == nodes_by_name.end()) {
+            return UnknownNode(line, tokens[3]);
+          }
+          graph.AddEdgeByName(from->second, tokens[2], to->second);
+          return Status::OK();
+        }
+        return LineError(line, "unknown directive '" +
+                                   std::string(tokens[0]) + "'");
+      }));
   GQD_RETURN_NOT_OK(graph.Validate());
   return graph;
 }
@@ -192,28 +222,21 @@ Result<BinaryRelation> ReadRelationText(const DataGraph& graph,
 Result<std::vector<std::pair<NodeId, NodeId>>> ReadRelationPairsText(
     const DataGraph& graph, const std::string& text) {
   std::vector<std::pair<NodeId, NodeId>> pairs;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(is, line)) {
-    line_number++;
-    std::vector<std::string> tokens = Tokenize(line);
-    if (IsCommentOrBlank(tokens)) {
-      continue;
-    }
-    if (tokens[0] != "pair" || tokens.size() != 3) {
-      return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": expected: pair <u> <v>");
-    }
-    auto u = graph.FindNode(tokens[1]);
-    auto v = graph.FindNode(tokens[2]);
-    if (!u.ok() || !v.ok()) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(line_number) + ": unknown node '" +
-          (u.ok() ? tokens[2] : tokens[1]) + "'");
-    }
-    pairs.emplace_back(u.value(), v.value());
-  }
+  NodeNameIndex names(graph);
+  GQD_RETURN_NOT_OK(ForEachDirective(
+      text, [&](std::size_t line, const std::vector<std::string_view>& tokens)
+                -> Status {
+        if (tokens[0] != "pair" || tokens.size() != 3) {
+          return LineError(line, "expected: pair <u> <v>");
+        }
+        std::optional<NodeId> u = names.Find(tokens[1]);
+        std::optional<NodeId> v = names.Find(tokens[2]);
+        if (!u.has_value() || !v.has_value()) {
+          return UnknownNode(line, u.has_value() ? tokens[2] : tokens[1]);
+        }
+        pairs.emplace_back(*u, *v);
+        return Status::OK();
+      }));
   return pairs;
 }
 
@@ -235,38 +258,31 @@ std::string WriteRelationPairsText(
 
 Result<TupleRelation> ReadTupleRelationText(const DataGraph& graph,
                                             const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  std::size_t line_number = 0;
   std::vector<NodeTuple> tuples;
   std::size_t arity = 0;
-  while (std::getline(is, line)) {
-    line_number++;
-    std::vector<std::string> tokens = Tokenize(line);
-    if (IsCommentOrBlank(tokens)) {
-      continue;
-    }
-    if (tokens[0] != "tuple" || tokens.size() < 2) {
-      return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": expected: tuple <n1> ... <nr>");
-    }
-    NodeTuple tuple;
-    for (std::size_t i = 1; i < tokens.size(); i++) {
-      auto v = graph.FindNode(tokens[i]);
-      if (!v.ok()) {
-        return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                       ": unknown node '" + tokens[i] + "'");
-      }
-      tuple.push_back(v.value());
-    }
-    if (arity == 0) {
-      arity = tuple.size();
-    } else if (tuple.size() != arity) {
-      return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": inconsistent tuple arity");
-    }
-    tuples.push_back(std::move(tuple));
-  }
+  NodeNameIndex names(graph);
+  GQD_RETURN_NOT_OK(ForEachDirective(
+      text, [&](std::size_t line, const std::vector<std::string_view>& tokens)
+                -> Status {
+        if (tokens[0] != "tuple" || tokens.size() < 2) {
+          return LineError(line, "expected: tuple <n1> ... <nr>");
+        }
+        NodeTuple tuple;
+        for (std::size_t i = 1; i < tokens.size(); i++) {
+          std::optional<NodeId> v = names.Find(tokens[i]);
+          if (!v.has_value()) {
+            return UnknownNode(line, tokens[i]);
+          }
+          tuple.push_back(*v);
+        }
+        if (arity == 0) {
+          arity = tuple.size();
+        } else if (tuple.size() != arity) {
+          return LineError(line, "inconsistent tuple arity");
+        }
+        tuples.push_back(std::move(tuple));
+        return Status::OK();
+      }));
   if (arity == 0) {
     return Status::InvalidArgument("relation file contains no tuples");
   }

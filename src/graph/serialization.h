@@ -10,6 +10,12 @@
 //
 //   pair <u> <v>            (binary relations)
 //   tuple <n1> <n2> ... <nr> (any arity; all lines must agree on arity)
+//
+// Every reader makes one pass over the text: lines end at '\n', tokens are
+// separated by ' ', '\t', '\r', '\v' or '\f', and blank lines and lines
+// whose first token starts with '#' are skipped. Errors name the 1-based
+// line. Relation readers resolve names through a NodeNameIndex, so they run
+// in O(text + n) time on named and anonymous graphs alike.
 
 #ifndef GQD_GRAPH_SERIALIZATION_H_
 #define GQD_GRAPH_SERIALIZATION_H_

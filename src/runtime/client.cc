@@ -25,6 +25,9 @@ GQD_FAILPOINT_DEFINE(fp_client_connect, "client.connect");
 GQD_FAILPOINT_DEFINE(fp_client_read, "client.read");
 GQD_FAILPOINT_DEFINE(fp_client_write, "client.write");
 
+// Bytes requested per read(); see the server's framing loop.
+constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
 /// True when `response` is a protocol-level load-shed error. Sets
 /// *retry_after_ms from the server's hint when one is present.
 bool IsOverloadResponse(const std::string& response,
@@ -107,14 +110,21 @@ Result<std::string> LineClient::Call(const std::string& line) {
     }
     written += static_cast<std::size_t>(w);
   }
-  char chunk[4096];
+  // `scanned` bytes of buffer_ are known to hold no newline, so a response
+  // spanning many reads is searched once, not once per read.
+  char chunk[kReadChunkBytes];
+  std::size_t scanned = 0;
   while (true) {
-    std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string response = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
+    const void* newline = std::memchr(buffer_.data() + scanned, '\n',
+                                      buffer_.size() - scanned);
+    if (newline != nullptr) {
+      std::size_t length = static_cast<std::size_t>(
+          static_cast<const char*>(newline) - buffer_.data());
+      std::string response = buffer_.substr(0, length);
+      buffer_.erase(0, length + 1);
       return response;
     }
+    scanned = buffer_.size();
     if (GQD_FAILPOINT_FIRED(fp_client_read)) {
       Close();
       return Status::IOError("injected read failure (failpoint client.read)");

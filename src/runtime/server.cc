@@ -22,6 +22,11 @@ GQD_FAILPOINT_DEFINE(fp_server_accept, "server.accept");
 GQD_FAILPOINT_DEFINE(fp_server_read, "server.read");
 GQD_FAILPOINT_DEFINE(fp_server_write, "server.write");
 
+// Bytes requested per read(). Large requests (relation texts run to
+// megabytes) then take few syscalls; small ones are unaffected, since a
+// read returns what has arrived.
+constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
 }  // namespace
 
 Server::~Server() {
@@ -96,8 +101,15 @@ void Server::AcceptLoop() {
 }
 
 void Server::ServeConnection(int fd) {
+  // Framing is linear in the bytes received: `buffer` holds the unconsumed
+  // tail of the stream, and `scanned` marks how much of it is known to hold
+  // no newline, so each byte is searched once however many reads a long
+  // line spans. Lines are consumed by offset and the tail compacted once
+  // per read.
   std::string buffer;
-  char chunk[4096];
+  std::size_t scanned = 0;
+  std::string line;
+  char chunk[kReadChunkBytes];
   bool open = true;
   // Writes one full response; false means the connection is dead (peer
   // gone, Stop() closed the fd, or an injected write fault).
@@ -127,10 +139,14 @@ void Server::ServeConnection(int fd) {
       break;  // peer closed, error, or Stop() closed the fd
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while (open && (newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+    std::size_t line_start = 0;
+    const char* newline;
+    while (open && (newline = static_cast<const char*>(std::memchr(
+                        buffer.data() + scanned, '\n',
+                        buffer.size() - scanned))) != nullptr) {
+      std::size_t line_end = static_cast<std::size_t>(newline - buffer.data());
+      line.assign(buffer, line_start, line_end - line_start);
+      line_start = scanned = line_end + 1;
       if (line.empty()) {
         continue;  // tolerate blank lines (e.g. \r\n keepalives)
       }
@@ -149,6 +165,8 @@ void Server::ServeConnection(int fd) {
         open = false;
       }
     }
+    buffer.erase(0, line_start);
+    scanned = buffer.size();
     if (open && buffer.size() > options_.max_line_bytes) {
       // An unterminated request line has outgrown the bound. Report the
       // limit (framing is lost, so the connection cannot be salvaged) and

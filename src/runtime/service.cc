@@ -569,9 +569,24 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
   GQD_ASSIGN_OR_RETURN(std::string checker, request.GetString("checker"));
   GQD_ASSIGN_OR_RETURN(std::string relation_text,
                        request.GetString("relation"));
+  auto parse_relation = [&] {
+    GQD_TRACE_SPAN(span, "serve.relation_parse");
+    GQD_TRACE_SPAN_ATTR(span, "bytes", relation_text.size());
+    auto parsed = ReadRelationPairsText(*entry.graph, relation_text);
+    GQD_TRACE_SPAN_ATTR(span, "pairs",
+                        parsed.ok() ? parsed.value().size() : 0);
+    return parsed;
+  };
+  auto parse_start = std::chrono::steady_clock::now();
+  auto parsed = parse_relation();
+  RelationCounters::Instance().parse_micros.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - parse_start)
+              .count()),
+      std::memory_order_relaxed);
   using RelationPairs = std::vector<std::pair<NodeId, NodeId>>;
-  GQD_ASSIGN_OR_RETURN(RelationPairs pairs,
-                       ReadRelationPairsText(*entry.graph, relation_text));
+  GQD_ASSIGN_OR_RETURN(RelationPairs pairs, std::move(parsed));
   GQD_ASSIGN_OR_RETURN(std::int64_t deadline_ms, DeadlineMsFrom(request));
   std::optional<CancelToken> deadline;
   if (deadline_ms > 0) {

@@ -59,6 +59,7 @@ void UpdateRelationMetrics(MetricsRegistry* registry) {
   mirror("gqd_relation_pairs_loaded_total", c.pairs_loaded);
   mirror("gqd_relation_pairs_written_total", c.pairs_written);
   mirror("gqd_relation_load_microseconds_total", c.load_micros);
+  mirror("gqd_relation_parse_microseconds_total", c.parse_micros);
   mirror("gqd_relation_build_microseconds_total", c.build_micros);
   mirror("gqd_relation_admission_refusals_total", c.admission_refusals);
   auto builds = [&](const char* backend,

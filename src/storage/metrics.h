@@ -42,8 +42,9 @@ struct StorageCounters {
 void UpdateStorageMetrics(MetricsRegistry* registry);
 
 /// Process-wide relation-path counters (monotonic totals): container I/O
-/// from storage/relation_store.cc plus backend selections and admission
-/// refusals bumped by the check paths (CLI and serve).
+/// from storage/relation_store.cc, relation-text parse time of served
+/// checks, plus backend selections and admission refusals bumped by the
+/// check paths (CLI and serve).
 struct RelationCounters {
   std::atomic<std::uint64_t> relations_opened{0};
   std::atomic<std::uint64_t> open_failures{0};
@@ -55,6 +56,7 @@ struct RelationCounters {
   std::atomic<std::uint64_t> builds_dense{0};    ///< backend selections
   std::atomic<std::uint64_t> builds_sparse{0};
   std::atomic<std::uint64_t> builds_blocked{0};
+  std::atomic<std::uint64_t> parse_micros{0};    ///< summed text-parse latency
   std::atomic<std::uint64_t> build_micros{0};    ///< summed build latency
   std::atomic<std::uint64_t> admission_refusals{0};
 
@@ -70,6 +72,7 @@ void NoteRelationBackendSelected(RelationBackend backend);
 ///   gqd_relation_pairs_loaded_total, gqd_relation_pairs_written_total,
 ///   gqd_relation_load_microseconds_total,
 ///   gqd_relation_builds_total{backend="dense"|"sparse"|"blocked"},
+///   gqd_relation_parse_microseconds_total,
 ///   gqd_relation_build_microseconds_total,
 ///   gqd_relation_admission_refusals_total.
 void UpdateRelationMetrics(MetricsRegistry* registry);

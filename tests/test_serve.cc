@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -312,6 +313,35 @@ TEST_F(ServeTest, TracedEvalReturnsSpanTreeInline) {
   std::string untraced = Call(
       R"({"cmd":"eval","graph":"fig1","language":"rpq","query":"a.a"})");
   EXPECT_EQ(untraced.find("\"trace\""), std::string::npos) << untraced;
+}
+
+TEST_F(ServeTest, CheckReportsTheRelationParseAsSpanAndMetric) {
+  DataGraph g = Figure1Graph();
+  service_.registry().Register("fig1", Figure1Graph());
+  std::string relation = WriteRelationText(g, Figure1S1(g));
+  std::size_t pairs = Figure1S1(g).Pairs().size();
+  JsonValue::Object request;
+  request.emplace_back("cmd", "check");
+  request.emplace_back("graph", "fig1");
+  request.emplace_back("checker", "rpq");
+  request.emplace_back("relation", relation);
+  request.emplace_back("trace", true);
+  std::string traced = Call(JsonValue(std::move(request)).Serialize());
+  EXPECT_NE(traced.find("\"ok\":true"), std::string::npos) << traced;
+#ifndef GQD_DISABLE_TRACING
+  EXPECT_NE(traced.find("\"serve.relation_parse\""), std::string::npos)
+      << traced;
+  EXPECT_NE(traced.find("\"bytes\":" + std::to_string(relation.size())),
+            std::string::npos)
+      << traced;
+  EXPECT_NE(traced.find("\"pairs\":" + std::to_string(pairs)),
+            std::string::npos)
+      << traced;
+#endif  // GQD_DISABLE_TRACING
+  std::string metrics = Call(R"({"cmd":"metrics"})");
+  EXPECT_NE(metrics.find("gqd_relation_parse_microseconds_total"),
+            std::string::npos)
+      << metrics;
 }
 
 #ifndef GQD_DISABLE_TRACING
@@ -695,6 +725,59 @@ TEST_F(ServeOverloadTest, CallWithRetryRidesOutTheOverload) {
   EXPECT_GE(client.retries(), 1u);
 }
 
+/// A raw loopback connection: the framing tests below need unterminated
+/// lines, odd write sizes and pipelining, which LineClient never produces.
+int RawConnect(std::uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                sizeof(address)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends `data` in `piece`-byte writes; false once the peer is gone.
+bool SendInPieces(int fd, const std::string& data, std::size_t piece) {
+  for (std::size_t at = 0; at < data.size(); at += piece) {
+    std::size_t length = std::min(piece, data.size() - at);
+    if (::send(fd, data.data() + at, length, MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(length)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Reads until `lines` newline-terminated lines have arrived or the peer
+/// closes; returns them without their newlines.
+std::vector<std::string> ReadLines(int fd, std::size_t lines) {
+  std::vector<std::string> out;
+  std::string buffer;
+  char chunk[4096];
+  while (out.size() < lines) {
+    std::size_t newline = buffer.find('\n');
+    if (newline != std::string::npos) {
+      out.push_back(buffer.substr(0, newline));
+      buffer.erase(0, newline + 1);
+      continue;
+    }
+    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) {
+      break;
+    }
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
 TEST(ServeLimits, OversizedRequestLineIsRejected) {
   QueryService service;
   ServerOptions server_options;
@@ -704,33 +787,15 @@ TEST(ServeLimits, OversizedRequestLineIsRejected) {
 
   // Raw socket: LineClient always terminates its line, but this test needs
   // an *unterminated* line that outgrows the bound.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = RawConnect(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(server.port());
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
-                      sizeof(address)),
-            0);
   std::string oversized(2048, 'x');  // > max_line_bytes, no newline
-  ASSERT_EQ(::write(fd, oversized.data(), oversized.size()),
-            static_cast<ssize_t>(oversized.size()));
-  std::string response;
-  char chunk[4096];
-  for (;;) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      break;
-    }
-    response.append(chunk, static_cast<std::size_t>(n));
-    if (response.find('\n') != std::string::npos) {
-      break;
-    }
-  }
+  ASSERT_TRUE(SendInPieces(fd, oversized, oversized.size()));
+  std::vector<std::string> response = ReadLines(fd, 1);
   ::close(fd);
-  EXPECT_NE(response.find("request_too_large"), std::string::npos)
-      << response;
+  ASSERT_EQ(response.size(), 1u);
+  EXPECT_NE(response[0].find("request_too_large"), std::string::npos)
+      << response[0];
 
   // The limit is per-connection, not per-server: the next client is fine.
   LineClient client;
@@ -741,6 +806,144 @@ TEST(ServeLimits, OversizedRequestLineIsRejected) {
 
   server.Stop();
   server.Wait();
+}
+
+TEST(ServeFraming, MegabyteRequestLineWrittenInSmallPieces) {
+  QueryService service;
+  DataGraph g = Figure1Graph();
+  service.registry().Register("fig1", Figure1Graph());
+  ServerOptions server_options;
+  server_options.max_line_bytes = std::size_t{4} << 20;
+  Server server(&service, server_options);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  // The same relation twice: once as its plain pair list, once repeated
+  // past 2 MB (duplicates collapse when the relation is built), so both
+  // requests must get the same verdict.
+  std::string pairs = WriteRelationText(g, Figure1S1(g));
+  std::string repeated;
+  while (repeated.size() < (std::size_t{2} << 20)) {
+    repeated += pairs;
+  }
+  auto check_line = [](const std::string& relation) {
+    JsonValue::Object request;
+    request.emplace_back("cmd", "check");
+    request.emplace_back("graph", "fig1");
+    request.emplace_back("checker", "rpq");
+    request.emplace_back("relation", relation);
+    return JsonValue(std::move(request)).Serialize();
+  };
+  LineClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  auto small = client.Call(check_line(pairs));
+  ASSERT_TRUE(small.ok()) << small.status();
+
+  int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  std::string big = check_line(repeated) + "\n";
+  ASSERT_GT(big.size(), std::size_t{2} << 20);
+  ASSERT_TRUE(SendInPieces(fd, big, 1000));
+  std::vector<std::string> responses = ReadLines(fd, 1);
+  ::close(fd);
+  ASSERT_EQ(responses.size(), 1u);
+  auto parsed_small = JsonValue::Parse(small.value());
+  auto parsed_big = JsonValue::Parse(responses[0]);
+  ASSERT_TRUE(parsed_small.ok() && parsed_big.ok()) << responses[0];
+  ASSERT_TRUE(parsed_big.value().Find("ok")->AsBool()) << responses[0];
+  for (const char* field : {"verdict", "relation_nnz", "tuples_explored"}) {
+    ASSERT_NE(parsed_big.value().Find(field), nullptr) << field;
+    EXPECT_EQ(parsed_big.value().Find(field)->Serialize(),
+              parsed_small.value().Find(field)->Serialize())
+        << field;
+  }
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServeFraming, PipelinedLinesInOneSendAreAnsweredInOrder) {
+  QueryService service;
+  ServerOptions server_options;
+  // Below the batch size but above each line: the bound is per line, so
+  // a batch of short lines arriving in one read must not trip it.
+  server_options.max_line_bytes = 64;
+  Server server(&service, server_options);
+  ASSERT_TRUE(server.Start(0).ok());
+  int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  // Three requests and a blank line in one write; the blank line gets no
+  // response, the others one each, in order.
+  std::string batch =
+      "{\"cmd\":\"ping\",\"id\":1}\n\n"
+      "{\"cmd\":\"ping\",\"id\":2}\n"
+      "{\"cmd\":\"bogus\",\"id\":3}\n";
+  ASSERT_GT(batch.size(), server_options.max_line_bytes);
+  ASSERT_TRUE(SendInPieces(fd, batch, batch.size()));
+  std::vector<std::string> responses = ReadLines(fd, 3);
+  // The connection stays usable after the batch.
+  std::string last = "{\"cmd\":\"ping\",\"id\":4}\n";
+  ASSERT_TRUE(SendInPieces(fd, last, last.size()));
+  std::vector<std::string> after = ReadLines(fd, 1);
+  ::close(fd);
+  responses.insert(responses.end(), after.begin(), after.end());
+  ASSERT_EQ(responses.size(), 4u);
+  for (int i = 0; i < 4; i++) {
+    auto parsed = JsonValue::Parse(responses[i]);
+    ASSERT_TRUE(parsed.ok()) << responses[i];
+    ASSERT_NE(parsed.value().Find("id"), nullptr) << responses[i];
+    EXPECT_EQ(parsed.value().Find("id")->AsNumber(), i + 1);
+    EXPECT_EQ(parsed.value().Find("ok")->AsBool(), i != 2) << responses[i];
+  }
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServeFraming, UnterminatedLineOverTheLimitAcrossManyReads) {
+  QueryService service;
+  ServerOptions server_options;
+  server_options.max_line_bytes = std::size_t{256} << 10;
+  Server server(&service, server_options);
+  ASSERT_TRUE(server.Start(0).ok());
+  int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  // One byte over the bound, in 1 KB writes with pauses so the server
+  // sees the line grow over many reads. Nothing beyond the bound is sent,
+  // so the server has read every byte when it refuses and closes.
+  std::string unterminated(server_options.max_line_bytes + 1, 'x');
+  for (std::size_t at = 0; at < unterminated.size(); at += 16 << 10) {
+    std::string slice = unterminated.substr(at, 16 << 10);
+    ASSERT_TRUE(SendInPieces(fd, slice, 1024));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<std::string> responses = ReadLines(fd, 1);
+  ::close(fd);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_NE(responses[0].find("request_too_large"), std::string::npos)
+      << responses[0];
+  EXPECT_NE(responses[0].find(std::to_string(server_options.max_line_bytes)),
+            std::string::npos)
+      << responses[0];
+  server.Stop();
+  server.Wait();
+}
+
+TEST_F(ServeTest, LineClientReadsResponsesLargerThanOneReadChunk) {
+  // rpq a* over a 400-node line relates every i ≤ j: ~80k pairs, a
+  // response of about a megabyte.
+  DataGraph line = LineGraph(std::vector<std::uint32_t>(400, 0));
+  service_.registry().Register("line", line);
+  std::string expected =
+      EvaluateRpq(line, ParseRegex("a*").ValueOrDie()).ToString(line);
+  ASSERT_GT(expected.size(), std::size_t{256} << 10);
+  LineClient client;
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+  for (int round = 0; round < 2; round++) {  // the buffer is reused
+    auto response = client.Call(
+        R"({"cmd":"eval","graph":"line","language":"rpq","query":"a*"})");
+    ASSERT_TRUE(response.ok()) << response.status();
+    auto parsed = JsonValue::Parse(response.value());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().GetString("relation").ValueOrDie(), expected);
+  }
 }
 
 TEST_F(ServeTest, ShutdownCommandStopsServer) {

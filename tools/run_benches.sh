@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Runs the definability benchmark suite and writes BENCH_results.json at the
-# repo root: wall time, tuples/sec (or monoid elements/sec) and peak tuple
-# counts per benchmark, plus speedups over the persisted pre-kernel baseline
-# for the three standard medium workloads. CI's perf-smoke leg runs this and
+# Runs the definability and relation-intake benchmark suites and writes
+# BENCH_results.json at the repo root: the commit and machine measured, wall
+# time, tuples/sec (or monoid elements/sec, pairs/sec) and peak tuple counts
+# per benchmark, plus speedups over the persisted baselines (pre-kernel for
+# the three standard medium workloads, the parent scanner for relation
+# intake). CI's perf-smoke leg runs this and
 # uploads the JSON as an artifact; run it locally from a Release build:
 #
 #   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
@@ -17,7 +19,8 @@ MIN_TIME="${GQD_BENCH_MIN_TIME:-0.2}"
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
 
-for bench in bench_rem_definability bench_ree_definability; do
+for bench in bench_rem_definability bench_ree_definability \
+    bench_relation_intake; do
   bin="${BUILD_DIR}/bench/${bench}"
   if [[ ! -x "${bin}" ]]; then
     echo "error: ${bin} not found — build the repo first" >&2
@@ -100,11 +103,34 @@ if [[ -x "${GQD_BIN}" ]]; then
     || echo "warning: 4-worker cluster bench failed" >&2
 fi
 
-python3 - "${TMP_DIR}" "${OUT}" <<'EOF'
+# Provenance of the numbers: the commit measured and the machine it ran on.
+# "-dirty" marks uncommitted changes to tracked files on top of that commit.
+COMMIT="$(git -C "${REPO_ROOT}" rev-parse HEAD 2> /dev/null || echo unknown)"
+if [[ -n "$(git -C "${REPO_ROOT}" status --porcelain --untracked-files=no \
+      2> /dev/null)" ]]; then
+  COMMIT="${COMMIT}-dirty"
+fi
+CPU_MODEL="$(grep -m1 'model name' /proc/cpuinfo 2> /dev/null \
+  | sed 's/.*: //' || true)"
+CXX_PATH="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' \
+  "${BUILD_DIR}/CMakeCache.txt" 2> /dev/null || true)"
+COMPILER="$("${CXX_PATH:-c++}" --version 2> /dev/null | head -n1 || true)"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "${BUILD_DIR}/CMakeCache.txt" 2> /dev/null || true)"
+
+python3 - "${TMP_DIR}" "${OUT}" "${COMMIT}" "$(nproc)" "${CPU_MODEL}" \
+  "${COMPILER}" "${BUILD_TYPE}" <<'EOF'
 import json
 import sys
 
 tmp_dir, out_path = sys.argv[1], sys.argv[2]
+commit = sys.argv[3]
+machine = {
+    "nproc": int(sys.argv[4]),
+    "cpu": sys.argv[5],
+    "compiler": sys.argv[6],
+    "build_type": sys.argv[7] or "RelWithDebInfo (CMake default)",
+}
 
 # Pre-kernel-rewrite wall times (ms, Release) for the standard medium
 # workloads — the baseline the word-parallel successor kernels are measured
@@ -117,7 +143,8 @@ BASELINE_MS = {
 
 results = []
 stage_totals = {}
-for bench in ("bench_rem_definability", "bench_ree_definability"):
+for bench in ("bench_rem_definability", "bench_ree_definability",
+              "bench_relation_intake"):
     with open(f"{tmp_dir}/{bench}.json") as f:
         data = json.load(f)
     # Per-stage wall totals from the tracer (exact even under ring
@@ -136,15 +163,19 @@ for bench in ("bench_rem_definability", "bench_ree_definability"):
     for b in data["benchmarks"]:
         if b.get("run_type") == "aggregate":
             continue
+        # Times are in each benchmark's own unit (ns unless it sets one).
+        per_ms = {"ns": 1e6, "us": 1e3, "ms": 1.0, "s": 1e-3}[
+            b.get("time_unit", "ns")]
         entry = {
             "suite": bench,
             "name": b["name"],
-            "wall_ms": b["real_time"] / 1e6,
-            "cpu_ms": b["cpu_time"] / 1e6,
+            "wall_ms": b["real_time"] / per_ms,
+            "cpu_ms": b["cpu_time"] / per_ms,
             "iterations": b["iterations"],
         }
         for counter in ("macro_tuples", "monoid_size", "tuples_per_sec",
-                        "elements_per_sec", "levels", "verdict"):
+                        "elements_per_sec", "levels", "verdict", "pairs",
+                        "nodes", "pairs_per_sec"):
             if counter in b:
                 entry[counter] = b[counter]
         results.append(entry)
@@ -157,6 +188,36 @@ for entry in results:
             "wall_ms": entry["wall_ms"],
             "baseline_ms": baseline,
             "speedup": baseline / entry["wall_ms"],
+        }
+
+# Relation intake (bench_relation_intake): the one-pass relation scanner
+# against the getline/istringstream reader with a FindNode scan per name
+# that it replaced, measured with the same benchmark source linked against
+# the parent commit's libraries. The named legs were O(pairs·n) there.
+INTAKE_BASELINE = {
+    "commit": "431c0b572059227c11f326ff2599f81e9c91af93",
+    "machine": "4-core Intel Xeon (KVM guest), g++ 12.2.0, Release",
+    "wall_ms": {
+        "BM_ReadRelationPairsText/anonymous/real_time": 66.934,
+        "BM_ReadRelationPairsText/named/real_time": 22564.054,
+        "BM_ReadRelationPairsText_NamedSide/100/real_time": 412.618,
+        "BM_ReadRelationPairsText_NamedSide/200/real_time": 4036.687,
+    },
+}
+relation_intake = {
+    "baseline_commit": INTAKE_BASELINE["commit"],
+    "baseline_machine": INTAKE_BASELINE["machine"],
+    "legs": {},
+}
+for entry in results:
+    baseline = INTAKE_BASELINE["wall_ms"].get(entry["name"])
+    if baseline is not None:
+        relation_intake["legs"][entry["name"]] = {
+            "wall_ms": entry["wall_ms"],
+            "baseline_ms": baseline,
+            "speedup": baseline / entry["wall_ms"],
+            "pairs": entry.get("pairs"),
+            "nodes": entry.get("nodes"),
         }
 
 # Storage backend comparison: one process per loading path, so each
@@ -275,8 +336,11 @@ with open(out_path, "w") as f:
     json.dump(
         {
             "generated_by": "tools/run_benches.sh",
+            "commit": commit,
+            "machine": machine,
             "baseline": "pre word-parallel kernel rewrite (Release)",
             "medium_configs": medium,
+            "relation_intake": relation_intake,
             "storage": storage,
             "sparse_relations": sparse_relations,
             "cluster": cluster,
@@ -291,6 +355,9 @@ with open(out_path, "w") as f:
 for name, m in sorted(medium.items()):
     print(f"{name}: {m['wall_ms']:.3f} ms "
           f"(baseline {m['baseline_ms']:.3f} ms, {m['speedup']:.2f}x)")
+for name, leg in sorted(relation_intake["legs"].items()):
+    print(f"{name}: {leg['wall_ms']:.3f} ms "
+          f"(parent {leg['baseline_ms']:.3f} ms, {leg['speedup']:.1f}x)")
 if storage:
     print(f"storage ({storage['workload']}): "
           f"text {storage['text']['load_ms']:.1f} ms vs "
